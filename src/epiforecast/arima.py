@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values
@@ -26,6 +25,9 @@ _ROOT_MARGIN = 1e-3
 # selection refuses candidates whose fitted roots crowd the unit circle;
 # such optima are boundary artifacts, not identifiable dynamics
 _SELECTION_MIN_ROOT = 1.01
+# numerator of the MA filter 1 / theta(B), as the array lfilter would make of [1.0]
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
 class ConvergenceError(RuntimeError):
@@ -141,11 +143,17 @@ def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
     Zero iff every reflection coefficient stays below `limit` in magnitude,
     which keeps all polynomial roots strictly outside the unit circle;
     otherwise a positive penalty that grows with the excess.
+
+    `coeffs` is a list of floats. A step-down maps S = sum|c| to at most
+    (S - |k|) / (1 - |k|) <= S, so every remaining reflection coefficient is
+    bounded by S: once S <= 0.99 the answer is 0 without further steps.
     """
-    a = [float(c) for c in coeffs]
+    a = coeffs
     while a and a[-1] == 0.0:
-        a.pop()
+        a = a[:-1]
     for i in range(len(a), 0, -1):
+        if sum(map(abs, a)) <= 0.99:
+            return 0.0
         k = a[i - 1]
         if not math.isfinite(k):
             return 1e6
@@ -156,15 +164,14 @@ def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
     return 0.0
 
 
-def _css_residuals_numpy(
-    w: np.ndarray, phi: np.ndarray, theta: np.ndarray, intercept: float
-) -> np.ndarray:
+def _css_residuals_numpy(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
     u = w - intercept
     for i in range(1, len(phi) + 1):
-        u[i:] -= phi[i - 1] * w[:-i]
+        tail = u[i:]
+        tail -= phi[i - 1] * w[:-i]  # in place; `u[i:] -=` would copy it back
     if len(theta):
-        u = lfilter([1.0], np.concatenate([[1.0], -theta]), u)
+        u = lfilter(_ONE, np.array([1.0] + [-t for t in theta]), u)
     return u
 
 
@@ -202,19 +209,93 @@ else:
 def _objective(
     params: np.ndarray, w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int
 ) -> float:
-    idx = 0
-    intercept = 0.0
-    if use_intercept:
-        intercept = params[0]
-        idx = 1
-    phi = params[idx : idx + p]
-    theta = params[idx + p : idx + p + q]
-    violation = _stability_violation(phi) + _stability_violation(theta)
-    eps = _css_residuals(w, phi, theta, intercept)
-    sse = float(np.dot(eps[n_cond:], eps[n_cond:]))
+    values = params.tolist()
+    intercept = values[0] if use_intercept else 0.0
+    idx = int(use_intercept)
+    phi = values[idx : idx + p]
+    theta = values[idx + p :]
+    violation = 0.0
+    if p:
+        violation = _stability_violation(phi)
+    if q:
+        violation += _stability_violation(theta)
+    eps = _css_residuals(w, phi, theta, intercept)[n_cond:]
+    sse = float(np.dot(eps, eps))
     if violation > 0.0:
         sse = sse * (1.0 + 100.0 * violation) + violation
     return math.log(max(sse, 1e-300))
+
+
+def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
+    """Minimise func(x, *args) from x0; return (x, fun, success).
+
+    SciPy's `minimize(method="Nelder-Mead", options={"xatol": 1e-4,
+    "fatol": 1e-8})` without bounds, adaptive coefficients or an evaluation
+    limit, operation for operation, so results match it bit for bit. The
+    coefficients rho=1, chi=2, psi=0.5, sigma=0.5 are folded into the
+    literals (multiplying by 1 is exact). Success means the xatol/fatol test
+    passed before `maxiter` iterations.
+    """
+    N = len(x0)
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x, *args) for x in sim])
+    ind = fsim.argsort()
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind, 0)
+    # SciPy sorts a second time here; argsort need not be stable, so a
+    # second pass may reorder ties and stays for bit-identical results
+    ind = fsim.argsort()
+    fsim = fsim.take(ind, 0)
+    sim = sim.take(ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.abs(sim[1:] - sim[0]).max() <= 1e-4
+                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-8):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = 2.0 * xbar - sim[-1]
+        fxr = func(xr, *args)
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = func(xe, *args)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc, *args)
+                doshrink = not fxc <= fxr
+                if not doshrink:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+            else:
+                # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = func(xcc, *args)
+                doshrink = not fxcc < fsim[-1]
+                if not doshrink:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j], *args)
+        iterations += 1
+        ind = fsim.argsort()
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind, 0)
+    return sim[0], fsim.min(), iterations < maxiter
 
 
 def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
@@ -226,40 +307,32 @@ def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
         intercept = float(w[0]) if use_intercept else 0.0
         return np.zeros(p), np.zeros(q), intercept, True
 
-    def run(x0, maxiter):
-        return minimize(
-            _objective,
-            x0,
-            args=(w, p, q, use_intercept, n_cond),
-            method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-8},
-        )
-
+    args = (w, p, q, use_intercept, n_cond)
     budget = 150 + 100 * nparams
-    results = [run(np.zeros(nparams), budget)]
-    best = results[0]
-    for delta in (0.1, -0.1):
-        res = run(best.x + delta, budget)
-        results.append(res)
-        if res.fun < best.fun:
-            best = res
-    converged = any(r.success for r in results)
-    if not converged:
-        retry = run(best.x, budget * 4)
-        if retry.fun <= best.fun:
-            best = retry
-        converged = retry.success
+    # probe points far outside the stationary region overflow the residual
+    # recursion; the objective is meant to be inf or nan there
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, fun, converged = _nelder_mead(_objective, np.zeros(nparams), args, budget)
+        for delta in (0.1, -0.1):
+            x_r, fun_r, success = _nelder_mead(_objective, x + delta, args, budget)
+            converged = converged or success
+            if fun_r < fun:
+                x, fun = x_r, fun_r
         if not converged:
-            raise ConvergenceError(
-                f"simplex failed to converge for p={p}, q={q} after restart budget"
-            )
+            x_r, fun_r, converged = _nelder_mead(_objective, x, args, budget * 4)
+            if fun_r <= fun:
+                x = x_r
+            if not converged:
+                raise ConvergenceError(
+                    f"simplex failed to converge for p={p}, q={q} after restart budget"
+                )
     idx = 0
     intercept = 0.0
     if use_intercept:
-        intercept = float(best.x[0])
+        intercept = float(x[0])
         idx = 1
-    phi = np.asarray(best.x[idx : idx + p], dtype=float)
-    theta = np.asarray(best.x[idx + p : idx + p + q], dtype=float)
+    phi = np.asarray(x[idx : idx + p], dtype=float)
+    theta = np.asarray(x[idx + p : idx + p + q], dtype=float)
     return phi, theta, intercept, converged
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import shutil
 import sys
 import urllib.request
@@ -21,9 +22,6 @@ from .series import load_series_csv
 @dataclass
 class RunConfig:
     horizon: int = 10
-    transform: str = "boxcox"
-    max_p: int = arima.MAX_P
-    max_q: int = arima.MAX_Q
     minsplit: int | None = None
     folds: int = 10
     seed: int = 0
@@ -49,7 +47,7 @@ def load_config_file(path) -> dict:
             text = text.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            if key in ("horizon", "max_p", "max_q", "minsplit", "folds", "seed"):
+            if key in ("horizon", "minsplit", "folds", "seed"):
                 values[key] = int(text)
             elif key == "offline":
                 values[key] = text.lower() in ("1", "true", "yes", "on")
@@ -258,6 +256,8 @@ def cmd_eval(args) -> int:
 
 
 def _read_dated_column(path, value_field: str) -> dict:
+    """date -> finite value of one column; a bad cell or a repeated date is
+    rejected with its file and line."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "date" not in reader.fieldnames:
@@ -266,7 +266,17 @@ def _read_dated_column(path, value_field: str) -> dict:
             raise ValueError(f"{path}: expected a {value_field!r} column")
         out = {}
         for record in reader:
-            out[record["date"]] = float(record[value_field])
+            where = f"{path}:{reader.line_num}"
+            text = record[value_field]
+            try:
+                value = float(text)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: bad {value_field} value {text!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: non-finite {value_field} value {text!r}")
+            if record["date"] in out:
+                raise ValueError(f"{where}: duplicate date {record['date']!r}")
+            out[record["date"]] = value
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,32 @@ def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
-def rmse(actual, predicted) -> float:
+def _scaled_abs_errors(actual, predicted) -> tuple[np.ndarray, float]:
+    """|actual - predicted| divided by its largest entry s, and s.
+
+    On that [0, 1] scale nothing under- or overflows. When every error is 0
+    (or one is not finite) s is 1, so all-zero errors score exactly 0.
+    """
     a, p = _pair(actual, predicted)
-    return float(np.sqrt(np.mean((a - p) ** 2)))
+    e = np.abs(a - p)
+    s = float(e.max())
+    if not 0.0 < s < math.inf:
+        return e, 1.0
+    return e / s, s
+
+
+def rmse(actual, predicted) -> float:
+    r, s = _scaled_abs_errors(actual, predicted)
+    m = np.mean(r)
+    # mean(r**2) >= mean(r)**2 can fail by rounding when the errors are
+    # nearly equal; sqrt(m * m) == m exactly in binary floating point, so
+    # the floor keeps rmse >= mae exactly
+    return float(s * np.sqrt(max(np.mean(r * r), m * m)))
 
 
 def mae(actual, predicted) -> float:
-    a, p = _pair(actual, predicted)
-    return float(np.mean(np.abs(a - p)))
+    r, s = _scaled_abs_errors(actual, predicted)
+    return float(s * np.mean(r))
 
 
 def r2(actual, predicted) -> float:

@@ -2,11 +2,14 @@
 closed-form oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.signal import lfilter
 
-from epiforecast import arima, metrics
+from epiforecast import arima, metrics, wavelet
 from epiforecast.arima import ArimaOrder, fit_arima, forecast_arima, forecast_transformed, select_order
 from epiforecast.series import LOG_TRANSFORM, diff_values
 
@@ -153,3 +156,175 @@ class TestForecast:
         fit = fit_arima(sim_ar1(0), ArimaOrder(1, 0, 0))
         with pytest.raises(ValueError, match="horizon"):
             forecast_arima(fit, 0)
+
+
+# Reference estimator: the objective, barrier and residual recursion as they
+# were before the simplex moved into the package, minimised by SciPy's
+# Nelder-Mead. The package must reproduce it bit for bit.
+
+
+def _ref_stability_violation(coeffs, limit: float = 1.0 - arima._ROOT_MARGIN) -> float:
+    a = [float(c) for c in coeffs]
+    while a and a[-1] == 0.0:
+        a.pop()
+    for i in range(len(a), 0, -1):
+        k = a[i - 1]
+        if not math.isfinite(k):
+            return 1e6
+        if abs(k) >= limit:
+            return abs(k) - limit + 1e-9
+        denom = 1.0 - k * k
+        a = [(a[j] + k * a[i - 2 - j]) / denom for j in range(i - 1)]
+    return 0.0
+
+
+def _ref_css_residuals(w, phi, theta, intercept):
+    if arima.HAVE_NUMBA:  # the jit kernel is shared; only the numpy path is vendored here
+        return arima._css_residuals(w, phi, theta, intercept)
+    u = w - intercept
+    for i in range(1, len(phi) + 1):
+        u[i:] -= phi[i - 1] * w[:-i]
+    if len(theta):
+        u = lfilter([1.0], np.concatenate([[1.0], -theta]), u)
+    return u
+
+
+def _ref_objective(params, w, p, q, use_intercept, n_cond):
+    idx = 0
+    intercept = 0.0
+    if use_intercept:
+        intercept = params[0]
+        idx = 1
+    phi = params[idx : idx + p]
+    theta = params[idx + p : idx + p + q]
+    violation = _ref_stability_violation(phi) + _ref_stability_violation(theta)
+    eps = _ref_css_residuals(w, phi, theta, intercept)
+    sse = float(np.dot(eps[n_cond:], eps[n_cond:]))
+    if violation > 0.0:
+        sse = sse * (1.0 + 100.0 * violation) + violation
+    return math.log(max(sse, 1e-300))
+
+
+def _ref_minimize(x0, args, maxiter):
+    return minimize(_ref_objective, x0, args=args, method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-8})
+
+
+def _ref_estimate(w, p, q, use_intercept, n_cond):
+    """The estimator's restart schedule around the reference minimiser;
+    None where it gives up."""
+    nparams = int(use_intercept) + p + q
+    if nparams == 0 or (np.ptp(w) == 0.0 and (use_intercept or w[0] == 0.0)):
+        return arima._estimate(w, p, q, use_intercept, n_cond)
+    args = (w, p, q, use_intercept, n_cond)
+    budget = 150 + 100 * nparams
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [_ref_minimize(np.zeros(nparams), args, budget)]
+        best = results[0]
+        for delta in (0.1, -0.1):
+            res = _ref_minimize(best.x + delta, args, budget)
+            results.append(res)
+            if res.fun < best.fun:
+                best = res
+        converged = any(r.success for r in results)
+        if not converged:
+            retry = _ref_minimize(best.x, args, budget * 4)
+            if retry.fun <= best.fun:
+                best = retry
+            converged = retry.success
+            if not converged:
+                return None
+    idx = int(use_intercept)
+    intercept = float(best.x[0]) if use_intercept else 0.0
+    return best.x[idx : idx + p], best.x[idx + p : idx + p + q], intercept, converged
+
+
+def _bits(estimate):
+    """Byte-exact fingerprint of an _estimate result (None when it gave up)."""
+    if estimate is None:
+        return None
+    phi, theta, intercept, converged = estimate
+    return phi.tobytes(), theta.tobytes(), float(intercept).hex(), converged
+
+
+def _package_estimate(w, p, q, use_intercept, n_cond):
+    try:
+        return arima._estimate(w, p, q, use_intercept, n_cond)
+    except arima.ConvergenceError:
+        return None
+
+
+def _assert_grid_matches_reference(w, max_p, max_q, use_intercept):
+    for p in range(max_p + 1):
+        for q in range(max_q + 1):
+            args = (w, p, q, use_intercept, max_p)
+            assert _bits(_package_estimate(*args)) == _bits(_ref_estimate(*args)), (p, q)
+
+
+class TestSimplexParity:
+    def test_bundled_log_grid(self, country_series):
+        z = LOG_TRANSFORM.forward(country_series["india"].values)
+        d = arima._select_d(z)
+        _assert_grid_matches_reference(diff_values(z, d), arima.MAX_P, arima.MAX_Q, d == 0)
+
+    def test_raw_count_sub_series_grid(self, country_series):
+        values = country_series["india"].values
+        dec = wavelet.modwt(values, wavelet.decomposition_level(len(values)))
+        order = wavelet.SUBSERIES_MAX_ORDER
+        _assert_grid_matches_reference(dec.details[0], order, order, True)
+
+    @pytest.mark.parametrize("w, p, q", [(sim_ar1(42), 1, 0), (sim_ma1(0), 0, 1)])
+    def test_n500_simulations(self, w, p, q):
+        args = (w, p, q, True, p)
+        assert _bits(_package_estimate(*args)) == _bits(_ref_estimate(*args))
+
+    @pytest.mark.parametrize("x0", [np.zeros(4), np.full(4, 0.1)])
+    def test_single_runs_match_minimize(self, country_series, x0):
+        w = diff_values(LOG_TRANSFORM.forward(country_series["uk"].values), 1)
+        args = (w, 2, 1, True, 5)
+        for maxiter in (12, 550):  # exhausted, then converged
+            ref = _ref_minimize(x0, args, maxiter)
+            x, fun, success = arima._nelder_mead(arima._objective, x0, args, maxiter)
+            assert x.tobytes() == ref.x.tobytes()
+            assert float(fun).hex() == float(ref.fun).hex()
+            assert success == ref.success == (maxiter == 550)
+
+    def test_stability_violation_matches_reference(self):
+        rng = np.random.default_rng(0)
+        limit = 1.0 - arima._ROOT_MARGIN
+        special = [0.0, -0.0, limit, -limit, np.nextafter(limit, 0.0), np.nextafter(limit, 2.0),
+                   0.99, -0.99, 1.0, np.inf, -np.inf, np.nan]
+        for _ in range(10_000):
+            k = int(rng.integers(0, 6))
+            coeffs = rng.uniform(-1.0, 1.0, k) * rng.choice([0.2, 0.5, 1.0, 2.0])
+            for i in range(k):
+                if rng.random() < 0.15:
+                    coeffs[i] = rng.choice(special)
+            if k and rng.random() < 0.1:
+                coeffs[-1] = 0.0
+            total = np.abs(coeffs).sum()
+            if 0.0 < total < np.inf and rng.random() < 0.1:
+                coeffs *= 0.99 / total  # on the shortcut's threshold
+            values = coeffs.tolist()
+            snapshot = list(values)
+            expected = _ref_stability_violation(values)
+            assert arima._stability_violation(values) == expected, values
+            assert values == snapshot  # the argument is left untouched
+
+
+class TestProbeWarnings:
+    def test_overflowing_probes_stay_silent_and_match_reference(self):
+        # explosive MA probes on a long, large-amplitude series overflow the
+        # residual recursion; the objective is meant to be inf there
+        x = 1e3 * np.sin(2.0 * np.pi * np.arange(1000) / 32.0)
+        args = (x, 0, 3, True, 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _ref_objective(np.array([0.0, -1.5, 0.0, 0.0]), *args)
+        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _package_estimate(*args)
+            fit = fit_arima(x, ArimaOrder(0, 0, 3), n_condition=3)
+        assert _bits(got) == _bits(_ref_estimate(*args))
+        assert fit.theta.tobytes() == got[1].tobytes()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -119,6 +120,15 @@ class TestForecast:
         ) == 1
         assert "unknown option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["transform = none", "max_p = 2", "max_q = 2"])
+    def test_removed_config_keys_rejected(self, tmp_path, line):
+        # these keys were once accepted and then ignored
+        config = tmp_path / "old.cfg"
+        config.write_text("horizon = 4\n" + line + "\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(config))}:2: unknown option '{key}'$"):
+            cli.load_config_file(config)
+
     def test_malformed_input_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("date,cases\n2020-03-01,xyz\n")
@@ -199,3 +209,27 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["rmse"] == pytest.approx(np.sqrt(2.0 / 3.0))
         assert payload["metrics"]["mae"] == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "non-finite hybrid value 'nan'"),
+        ("inf", "non-finite hybrid value 'inf'"),
+        ("abc", "bad hybrid value 'abc'"),
+        ("", "bad hybrid value ''"),
+    ])
+    def test_bad_forecast_cell_names_file_and_line(self, tmp_path, capsys, cell, message):
+        actual = tmp_path / "a.csv"
+        actual.write_text("date,cases\n2020-03-01,1\n2020-03-02,2\n")
+        forecast = tmp_path / "f.csv"
+        forecast.write_text(f"date,hybrid\n2020-03-01,2\n2020-03-02,{cell}\n")
+        assert run_cli("eval", str(actual), str(forecast)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"eval: {forecast}:3: {message}\n"
+
+    def test_duplicate_date_rejected(self, tmp_path, capsys):
+        actual = tmp_path / "a.csv"
+        actual.write_text("date,cases\n2020-03-01,1\n2020-03-02,2\n2020-03-01,5\n")
+        forecast = tmp_path / "f.csv"
+        forecast.write_text("date,hybrid\n2020-03-01,2\n2020-03-02,2\n")
+        assert run_cli("eval", str(actual), str(forecast)) == 1
+        assert capsys.readouterr().err == f"eval: {actual}:4: duplicate date '2020-03-01'\n"

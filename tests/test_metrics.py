@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epiforecast import metrics
@@ -60,6 +60,10 @@ def test_report_handles_undefined_r2():
 
 @given(pairs)
 @settings(max_examples=200, deadline=None)
+# equal errors, where the unscaled formulas put rmse one ulp below mae
+@example(([0.0, 482185.02837372245, 0.0], [482185.02837372245, 0.0, 482185.02837372245]))
+# errors one ulp apart, where scaling alone still puts rmse one ulp below mae
+@example(([0.0, 0.0], [1e6, 999999.9999999999]))
 def test_mae_never_exceeds_rmse(pair):
     actual, predicted = pair
     assert metrics.mae(actual, predicted) <= metrics.rmse(actual, predicted) + 1e-12
