@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -408,28 +409,120 @@ def select_order(
     default; callers fitting near-periodic components (where boundary AR is
     the honest model) can disable the gate.
     """
+    grid = _order_grid(s, transform, max_p, max_q, force_d)
+    return _best_cell(_fit_cells(grid), reject_near_unit_roots).order
+
+
+def _order_grid(s, transform: TransformSpec, max_p: int, max_q: int, force_d: int | None) -> list:
+    """The `fit_arima` jobs of `select_order`'s (p,q) grid, p-major."""
     values = _values_of(s)
     if len(values) < 20:
         raise ValueError(f"order selection needs at least 20 observations, got {len(values)}")
     z = transform.forward(values)
     d = force_d if force_d is not None else _select_d(z)
+    return [(values, ArimaOrder(p, d, q), transform, max_p)
+            for p in range(max_p + 1) for q in range(max_q + 1)]
 
+
+def _best_cell(results: list, reject_near_unit_roots: bool) -> ArimaFit:
+    """The grid cell `select_order` picks from the `_fit_cells` results of its grid."""
     candidates = []
     failures = []
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            try:
-                fit = fit_arima(values, ArimaOrder(p, d, q), transform, n_condition=max_p)
-            except (ValueError, ConvergenceError) as exc:
-                failures.append((p, q, exc))
-                continue
-            if reject_near_unit_roots and fit.min_root_modulus < _SELECTION_MIN_ROOT:
-                continue
-            candidates.append((fit.aic, p + q, fit.bic, p, q))
+    for result in results:
+        if isinstance(result, Exception):
+            failures.append(result)
+            continue
+        if reject_near_unit_roots and result.min_root_modulus < _SELECTION_MIN_ROOT:
+            continue
+        p, _, q = result.order
+        candidates.append(((result.aic, p + q, result.bic, p, q), result))
     if not candidates:
-        raise ConvergenceError(f"every (p,q) grid cell failed; first failure: {failures[0][2]}")
-    _, _, _, p, q = min(candidates)
-    return ArimaOrder(p, d, q)
+        raise ConvergenceError(f"every (p,q) grid cell failed; first failure: {failures[0]}")
+    return min(candidates, key=lambda c: c[0])[1]
+
+
+# (pid, worker count, executor) of the grid-cell pool, made on first use
+_pool = None
+
+
+def _fit_cell(job):
+    """`fit_arima` on one (values, order, transform, n_condition) job; the
+    errors of a cell that cannot be fitted come back as values."""
+    values, order, transform, n_condition = job
+    try:
+        return fit_arima(values, order, transform, n_condition=n_condition)
+    except (ValueError, ConvergenceError) as exc:
+        return exc
+
+
+def _cell_pool():
+    """(worker count, executor) for grid cells, or None where the main
+    process must fit every cell itself: one usable CPU, no `fork` start
+    method, or a daemonic process, which may not have children."""
+    global _pool
+    import multiprocessing
+
+    # the CPUs this process may run on; macOS has no affinity call
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0)) - 1
+    else:
+        workers = (os.cpu_count() or 1) - 1
+    if (workers < 1 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    # a forked child inherits the parent's executor but none of its threads
+    if _pool is None or _pool[0] != os.getpid():
+        import atexit
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: workers start at once, with the package already imported
+        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        # shut down before interpreter teardown, which would otherwise
+        # collect the executor after its module is gone and print an error
+        atexit.register(executor.shutdown)
+        _pool = (os.getpid(), workers, executor)
+    return _pool[1:]
+
+
+def _fit_cells(jobs: list) -> list:
+    """`_fit_cell` on every job, spread over the usable CPUs; results in input order.
+
+    The pool of (usable CPUs - 1) workers takes the jobs heaviest first, by
+    coefficient count p + q, then q. The main process works through the same
+    list from the cheap end, taking each job the pool has not started, so no
+    more processes are busy than there are CPUs. It never takes the first
+    job of each worker, which the pool starts at once.
+    """
+    global _pool
+    pool = _cell_pool() if len(jobs) > 1 else None
+    if pool is None:
+        return [_fit_cell(job) for job in jobs]
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers, executor = pool
+    heaviest_first = sorted(range(len(jobs)), reverse=True,
+                            key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q))
+    futures = []
+    results = [None] * len(jobs)
+    try:
+        futures = [(i, executor.submit(_fit_cell, jobs[i])) for i in heaviest_first]
+        for i, future in reversed(futures[workers:]):
+            if not future.cancel():
+                break
+            results[i] = _fit_cell(jobs[i])
+        for i, future in futures:
+            if not future.cancelled():
+                results[i] = future.result()
+    except BrokenProcessPool:
+        # a worker died, say killed for memory: this batch fails, the next
+        # one starts a new pool
+        _pool = None
+        raise
+    finally:
+        # after an error, drop the jobs the pool has not started
+        for _, future in futures:
+            future.cancel()
+    return results
 
 
 def _select_d(z: np.ndarray) -> int:

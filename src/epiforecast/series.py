@@ -139,14 +139,6 @@ def inverse_difference(diffed: TimeSeries, anchors: np.ndarray, d: int) -> TimeS
     return TimeSeries(dates=dates, values=values)
 
 
-def transform(s: TimeSeries, spec: TransformSpec) -> TimeSeries:
-    return TimeSeries(dates=s.dates, values=spec.forward(s.values))
-
-
-def inverse_transform(s: TimeSeries, spec: TransformSpec) -> TimeSeries:
-    return TimeSeries(dates=s.dates, values=spec.inverse(s.values))
-
-
 def acf(values, max_lag: int) -> np.ndarray:
     """Sample autocorrelations for lags 0..max_lag (biased estimator)."""
     values = np.asarray(values, dtype=float)

@@ -141,29 +141,46 @@ def wbf_fit(values) -> WbfFit:
     Sub-series are zero-mean (details) or slowly varying (smooth) by
     construction, so differencing is disabled and orders are capped low. A
     sub-series whose fit fails degrades to a mean-only model and is flagged.
+
+    The order grids of all sub-series are fitted as one batch, and then the
+    refits of the chosen orders, so that the cells spread over the CPUs.
     """
     x = np.asarray(getattr(values, "values", values), dtype=float)
     levels = decomposition_level(len(x))
     dec = modwt(x, levels)
     sub_series = [*dec.details, dec.smooth]
-    fits = []
-    fallbacks = []
-    for i, sub in enumerate(sub_series):
+    grids = []
+    for sub in sub_series:
+        try:
+            grids.append(arima._order_grid(sub, NO_TRANSFORM, SUBSERIES_MAX_ORDER,
+                                           SUBSERIES_MAX_ORDER, force_d=0))
+        except ValueError:
+            grids.append([])
+    cells = iter(arima._fit_cells([job for grid in grids for job in grid]))
+    chosen = []
+    for grid in grids:
+        results = [next(cells) for _ in grid]
         try:
             # boundary AR is legitimate here: detail sub-series oscillate by
             # construction, so the near-unit-root selection gate stays off
-            order = arima.select_order(
-                sub,
-                NO_TRANSFORM,
-                max_p=SUBSERIES_MAX_ORDER,
-                max_q=SUBSERIES_MAX_ORDER,
-                force_d=0,
-                reject_near_unit_roots=False,
-            )
-            fits.append(arima.fit_arima(sub, order, NO_TRANSFORM))
-        except (ValueError, arima.ConvergenceError):
+            chosen.append(arima._best_cell(results, reject_near_unit_roots=False)
+                          if results else None)
+        except arima.ConvergenceError:
+            chosen.append(None)
+    # at p = SUBSERIES_MAX_ORDER the grid cell conditioned on as many
+    # residuals as the refit would, so it is the refit
+    refits = [i for i, fit in enumerate(chosen)
+              if fit is not None and fit.order.p < SUBSERIES_MAX_ORDER]
+    jobs = [(sub_series[i], chosen[i].order, NO_TRANSFORM, None) for i in refits]
+    for i, result in zip(refits, arima._fit_cells(jobs)):
+        chosen[i] = None if isinstance(result, Exception) else result
+    fits = []
+    fallbacks = []
+    for i, (sub, fit) in enumerate(zip(sub_series, chosen)):
+        if fit is None:
             fallbacks.append(i)
-            fits.append(arima.fit_arima(sub, arima.ArimaOrder(0, 0, 0), NO_TRANSFORM))
+            fit = arima.fit_arima(sub, arima.ArimaOrder(0, 0, 0), NO_TRANSFORM)
+        fits.append(fit)
     return WbfFit(levels=levels, n_obs=len(x), sub_fits=fits, fallbacks=fallbacks)
 
 

@@ -2,7 +2,12 @@
 closed-form oracles."""
 
 import math
+import multiprocessing
+import os
+import pickle
+import signal
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from scipy.signal import lfilter
 
 from epiforecast import arima, metrics, wavelet
 from epiforecast.arima import ArimaOrder, fit_arima, forecast_arima, forecast_transformed, select_order
-from epiforecast.series import LOG_TRANSFORM, diff_values
+from epiforecast.series import LOG_TRANSFORM, NO_TRANSFORM, diff_values
 
 from conftest import make_series
 
@@ -328,3 +333,105 @@ class TestProbeWarnings:
             fit = fit_arima(x, ArimaOrder(0, 0, 3), n_condition=3)
         assert _bits(got) == _bits(_ref_estimate(*args))
         assert fit.theta.tobytes() == got[1].tobytes()
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _india_grid_jobs(country_series):
+    """The India log-scale grid, then the grids of its raw-count sub-series."""
+    values = country_series["india"].values
+    jobs = arima._order_grid(values, LOG_TRANSFORM, arima.MAX_P, arima.MAX_Q, None)
+    dec = wavelet.modwt(values, wavelet.decomposition_level(len(values)))
+    order = wavelet.SUBSERIES_MAX_ORDER
+    for sub in [*dec.details, dec.smooth]:
+        jobs += arima._order_grid(sub, NO_TRANSFORM, order, order, force_d=0)
+    return jobs
+
+
+def _select_in_pool_worker(values):
+    return select_order(values, max_p=2, max_q=2), arima._cell_pool()
+
+
+needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                    reason="the worker pool needs two usable CPUs")
+
+
+class TestCellScheduler:
+    @needs_two_cpus
+    def test_pool_matches_main_process_bit_for_bit(self, country_series, monkeypatch):
+        jobs = _india_grid_jobs(country_series)
+        pooled = arima._fit_cells(jobs)
+        workers, _ = arima._cell_pool()
+        assert workers == len(os.sched_getaffinity(0)) - 1
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            in_process = arima._fit_cells(jobs)
+        assert [pickle.dumps(r) for r in pooled] == [pickle.dumps(r) for r in in_process]
+        assert [r.order for r in pooled] == [job[1] for job in jobs]
+
+    @needs_two_cpus
+    def test_failures_keep_grid_order_and_first_message(self, monkeypatch):
+        # on seven points every cell with p + q >= 5 is too short
+        values = sim_ar1(5, n=7)
+        jobs = [(values, ArimaOrder(p, 0, q), NO_TRANSFORM, None) for p in range(4) for q in range(4)]
+        pooled = arima._fit_cells(jobs)
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            in_process = arima._fit_cells(jobs)
+        described = [(type(r).__name__, str(r)) if isinstance(r, Exception) else r.order
+                     for r in pooled]
+        assert described == [(type(r).__name__, str(r)) if isinstance(r, Exception) else r.order
+                             for r in in_process]
+        too_short = [job[1] for job, r in zip(jobs, pooled) if isinstance(r, ValueError)]
+        assert too_short == [job[1] for job in jobs if job[1].p + job[1].q >= 5]
+        # only failures: the message names the first cell of the grid
+        failing = [(values, order, NO_TRANSFORM, 5) for _, order, _, _ in jobs]
+        with pytest.raises(arima.ConvergenceError) as excinfo:
+            arima._best_cell(arima._fit_cells(failing), reject_near_unit_roots=True)
+        assert str(excinfo.value) == ("every (p,q) grid cell failed; first failure: series of "
+                                      "length 7 too short for ARIMA(0,0,0) estimation")
+
+    @needs_two_cpus
+    def test_other_worker_errors_propagate(self):
+        values = sim_ar1(6, n=40)
+        good = [(values, ArimaOrder(p, 0, 0), NO_TRANSFORM, 2) for p in range(3)]
+        # the heaviest job is always a worker's; float(object()) is a TypeError
+        bad = (object(), ArimaOrder(0, 0, 5), NO_TRANSFORM, 5)
+        with pytest.raises(TypeError) as excinfo:
+            arima._fit_cells([*good, bad])
+        assert "fit_arima" in str(excinfo.value.__cause__)  # the worker's traceback
+        # the pool still serves the next batch
+        assert [r.order for r in arima._fit_cells(good)] == [job[1] for job in good]
+
+    @needs_two_cpus
+    def test_dead_worker_fails_one_batch_only(self):
+        values = sim_ar1(9, n=40)
+        jobs = [(values, ArimaOrder(p, 0, 0), NO_TRANSFORM, 2) for p in range(3)]
+        arima._fit_cells(jobs)  # the pool is up
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=30)
+            assert not child.is_alive()
+        with pytest.raises(BrokenProcessPool):
+            arima._fit_cells(jobs)
+        assert [r.order for r in arima._fit_cells(jobs)] == [job[1] for job in jobs]
+
+    def test_one_cpu_starts_no_process(self, monkeypatch):
+        _one_cpu(monkeypatch)
+        monkeypatch.setattr(arima, "_pool", None)
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert select_order(sim_ar1(7, n=60), max_p=2, max_q=2, force_d=0) == ArimaOrder(1, 0, 0)
+        assert arima._pool is None
+
+    def test_select_order_inside_pool_worker(self):
+        values = sim_ar1(8, n=60)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            order, worker_pool = pool.apply_async(_select_in_pool_worker, (values,)).get(timeout=120)
+        assert worker_pool is None  # a daemonic worker fits every cell itself
+        assert order == select_order(values, max_p=2, max_q=2)

@@ -1,7 +1,9 @@
 """Command-line driver contract tests (all offline, bundled data only)."""
 
 import csv
+import datetime as dt
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -133,6 +135,38 @@ class TestForecast:
         path = tmp_path / "bad.csv"
         path.write_text("date,cases\n2020-03-01,xyz\n")
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+
+
+# Series at the edges of what `forecast` accepts, each with the base order
+# (p, d, q) it selects. The AIC rule picks these as they are: ARIMA(4,0,2)
+# spends 7 coefficients on the 15 residuals of the length-20 quadratic.
+DEGENERATE = {
+    "zeros": ([0] * 30, (0, 0, 0)),
+    "constant": ([42] * 30, (0, 0, 0)),
+    "spike": ([0] * 20 + [500] + [0] * 9, (2, 1, 0)),
+    "length_20": ([i * i for i in range(20)], (4, 0, 2)),
+    "about_1e9": ([1_000_000_000 + 37_000 * (i * 7919 % 101) for i in range(30)], (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_series_sweep(tmp_path, capsys, name):
+    counts, order = DEGENERATE[name]
+    path = tmp_path / f"{name}.csv"
+    days = [dt.date(2020, 3, 1) + dt.timedelta(days=i) for i in range(len(counts))]
+    path.write_text("date,cases\n" + "".join(f"{d.isoformat()},{c}\n" for d, c in zip(days, counts)))
+    runs = []
+    for rerun in ("first", "second"):
+        out = tmp_path / rerun
+        assert run_cli("forecast", str(path), "--out", str(out)) == 0, capsys.readouterr().err
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[0] == runs[1]
+    for stem, columns in (("forecast", ("arima", "hybrid")), ("models", ("arima", "wbf", "hybrid"))):
+        for row in read_csv(tmp_path / "first" / f"{name}_{stem}.csv"):
+            assert math.isfinite(float(row.get("wbf_residual", 0.0))), row
+            assert all(math.isfinite(float(row[c])) and float(row[c]) >= 0.0 for c in columns), row
+    base = json.loads(runs[0][f"{name}_fit.json"])["model"]["base"]["order"]
+    assert (base["p"], base["d"], base["q"]) == order
 
 
 class TestRisktree:

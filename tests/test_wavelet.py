@@ -1,7 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from epiforecast import wavelet
+from epiforecast import arima, wavelet
 from epiforecast.wavelet import (
     decomposition_level,
     denoise,
@@ -129,6 +131,26 @@ class TestWbf:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least 8"):
             wbf_fit(np.ones(5))
+
+    @pytest.mark.parametrize("x", [
+        # chooses p = 3 on two sub-series, whose grid fits are kept as they are
+        np.cumsum(np.random.default_rng(0).normal(size=40)) + 5 * np.sin(np.arange(40) / 2),
+        np.arange(12.0) ** 2,  # under 20 points: every sub-series falls back
+    ])
+    def test_batched_fit_matches_one_sub_series_at_a_time(self, x):
+        fit = wbf_fit(x)
+        dec = modwt(x, decomposition_level(len(x)))
+        expected, fallbacks = [], []
+        for i, sub in enumerate([*dec.details, dec.smooth]):
+            try:
+                order = arima.select_order(sub, max_p=3, max_q=3, force_d=0,
+                                           reject_near_unit_roots=False)
+                expected.append(arima.fit_arima(sub, order))
+            except (ValueError, arima.ConvergenceError):
+                fallbacks.append(i)
+                expected.append(arima.fit_arima(sub, arima.ArimaOrder(0, 0, 0)))
+        assert fit.fallbacks == fallbacks
+        assert [pickle.dumps(f) for f in fit.sub_fits] == [pickle.dumps(f) for f in expected]
 
 
 def test_decomposition_csv_export(tmp_path):
