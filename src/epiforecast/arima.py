@@ -9,14 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values
+from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values, undiff_values
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
+# the residual recursion has no compiled kernel; reports still print this flag
+HAVE_NUMBA = False
 
 MAX_P = 5
 MAX_D = 2
@@ -90,15 +86,14 @@ class ArimaFit:
         data, so actual - fitted is exactly zero there.
         """
         d = self.order.d
-        z = self.transformed
-        out = z.copy()
         if d == 0:
-            out[:] = self.fitted
-            return out
-        pred_w = self.fitted
-        coeffs = [math.comb(d, j) * (-1) ** (j + 1) for j in range(1, d + 1)]
-        for t in range(d, len(z)):
-            out[t] = pred_w[t - d] + sum(c * z[t - j] for j, c in enumerate(coeffs, start=1))
+            return self.fitted
+        z = self.transformed
+        n = len(z)
+        out = z.copy()
+        # z_t = w_t + sum_j c_j z_{t-j} with c_j = (-1)^(j+1) binom(d, j)
+        out[d:] = self.fitted + sum(math.comb(d, j) * (-1) ** (j + 1) * z[d - j : n - j]
+                                    for j in range(1, d + 1))
         return out
 
     def fitted_level(self) -> np.ndarray:
@@ -165,7 +160,7 @@ def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
     return 0.0
 
 
-def _css_residuals_numpy(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
+def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
     u = w - intercept
     for i in range(1, len(phi) + 1):
@@ -174,37 +169,6 @@ def _css_residuals_numpy(w: np.ndarray, phi, theta, intercept: float) -> np.ndar
     if len(theta):
         u = lfilter(_ONE, np.array([1.0] + [-t for t in theta]), u)
     return u
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _css_residuals_jit(w, phi, theta, intercept):  # pragma: no cover - thin jit kernel
-        n = w.shape[0]
-        p = phi.shape[0]
-        q = theta.shape[0]
-        eps = np.empty(n)
-        for t in range(n):
-            pred = intercept
-            for i in range(p):
-                if t - 1 - i >= 0:
-                    pred += phi[i] * w[t - 1 - i]
-            for j in range(q):
-                if t - 1 - j >= 0:
-                    pred -= theta[j] * eps[t - 1 - j]
-            eps[t] = w[t] - pred
-        return eps
-
-    def _css_residuals(w, phi, theta, intercept):
-        return _css_residuals_jit(
-            np.ascontiguousarray(w),
-            np.ascontiguousarray(phi, dtype=np.float64),
-            np.ascontiguousarray(theta, dtype=np.float64),
-            float(intercept),
-        )
-
-else:
-    _css_residuals = _css_residuals_numpy
 
 
 def _objective(
@@ -568,14 +532,7 @@ def forecast_transformed(fit: ArimaFit, h: int) -> np.ndarray:
     wf = _forecast_diffed(fit, h)
     if d == 0:
         return wf
-    tail = list(fit.transformed[-d:])
-    coeffs = [math.comb(d, j) * (-1) ** (j + 1) for j in range(1, d + 1)]
-    out = np.empty(h)
-    for step in range(h):
-        level = wf[step] + sum(c * tail[-j] for j, c in enumerate(coeffs, start=1))
-        out[step] = level
-        tail.append(level)
-    return out
+    return undiff_values(wf, fit.transformed[-d:], d)[d:]
 
 
 def forecast_arima(fit: ArimaFit, h: int) -> np.ndarray:

@@ -32,8 +32,9 @@ class RunConfig:
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def load_config_file(path) -> dict:
-    """Flat key=value text; '#' starts a comment; unknown keys rejected."""
+def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_TYPES)) -> dict:
+    """Flat key=value text; '#' starts a comment. Unknown keys are rejected,
+    and so are keys naming an option `command` has no flag for."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -47,6 +48,8 @@ def load_config_file(path) -> dict:
             text = text.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+            if key not in flags:
+                raise ValueError(f"{path}:{lineno}: option {key!r} does not apply to {command}")
             if key in ("horizon", "minsplit", "folds", "seed"):
                 values[key] = int(text)
             elif key == "offline":
@@ -59,19 +62,15 @@ def load_config_file(path) -> dict:
 def build_config(args) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
+        # the command's parser defines exactly the options it reads
+        flags = {key for key in _CONFIG_TYPES if hasattr(args, key)}
+        for key, value in load_config_file(args.config, args.command, flags).items():
             setattr(config, key, value)
     for field in _CONFIG_TYPES:
         value = getattr(args, field, None)
         if value is not None:
             setattr(config, field, value)
     return config
-
-
-def _num(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -62,19 +62,15 @@ class TimeSeries:
 class TransformSpec:
     """Variance-stabilising transform applied before model fitting.
 
-    kind "boxcox" is only supported with lam=0, realised as log(y + 1) so
+    kind "boxcox" is the Box-Cox map at lambda = 0, realised as log(y + 1) so
     that zero counts stay admissible; the inverse is exp(x) - 1 clipped at 0.
-    "log1p" is the same map under its plain name.
     """
 
     kind: str = "none"
-    lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "log1p", "boxcox"):
+        if self.kind not in ("none", "boxcox"):
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "boxcox" and self.lam != 0.0:
-            raise ValueError("boxcox transform only supported with lam = 0")
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -91,7 +87,7 @@ class TransformSpec:
         return np.maximum(np.expm1(values), 0.0)
 
 
-LOG_TRANSFORM = TransformSpec(kind="boxcox", lam=0.0)
+LOG_TRANSFORM = TransformSpec(kind="boxcox")
 NO_TRANSFORM = TransformSpec(kind="none")
 
 

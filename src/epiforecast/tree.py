@@ -70,14 +70,13 @@ class SplitRule:
     threshold: float | None = None
     left_levels: frozenset | None = None
 
-    def goes_left(self, value: float) -> bool:
-        if self.threshold is not None:
-            if math.isnan(value):
-                raise ValueError(f"missing value for split variable {self.var}")
-            return value < self.threshold
-        if math.isnan(value):
+    def mask(self, col: np.ndarray) -> np.ndarray:
+        """True where a value of this rule's variable goes to the left child."""
+        if np.isnan(col).any():
             raise ValueError(f"missing value for split variable {self.var}")
-        return value in self.left_levels
+        if self.threshold is not None:
+            return col < self.threshold
+        return np.isin(col, list(self.left_levels))
 
     def describe(self, names) -> str:
         if self.threshold is not None:
@@ -134,14 +133,7 @@ class RegressionTree:
         return [n for n in self.nodes() if n.is_leaf]
 
     def nodes(self) -> list[TreeNode]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.extend([node.right, node.left])
-        return out
+        return list(_preorder(self.root))
 
     def internal_nodes(self) -> list[TreeNode]:
         return [n for n in self.nodes() if not n.is_leaf]
@@ -155,15 +147,27 @@ class RegressionTree:
     def used_variables(self) -> set[int]:
         return {n.rule.var for n in self.internal_nodes()}
 
-    def predict_row(self, row: np.ndarray) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if node.rule.goes_left(row[node.rule.var]) else node.right
-        return node.mean
-
     def predict(self, x) -> np.ndarray:
+        """Leaf means for one record or a matrix of records; a missing value
+        on a routed variable is an error (no surrogate routing at prediction
+        time)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.array([self.predict_row(row) for row in x])
+        if x.ndim != 2 or x.shape[1] != self.table.n_vars:
+            raise ValueError(f"record must have {self.table.n_vars} values")
+        out = np.empty(len(x))
+
+        def route(node: TreeNode, rows: np.ndarray) -> None:
+            if len(rows) == 0:
+                return
+            if node.is_leaf:
+                out[rows] = node.mean
+                return
+            left = node.rule.mask(x[rows, node.rule.var])
+            route(node.left, rows[left])
+            route(node.right, rows[~left])
+
+        route(self.root, np.arange(len(x)))
+        return out
 
     def leaf_signature(self) -> frozenset:
         """Partition of the training rows into leaves, for structural comparison."""
@@ -209,15 +213,29 @@ def _sse(values: np.ndarray) -> float:
     return float(np.sum((values - values.mean()) ** 2))
 
 
-def _categorical_partitions(levels: list[float]):
-    """Proper subsets in canonical order, each partition listed once with the
-    lowest level pinned to the left side."""
+def _candidate_cuts(col: np.ndarray, kind: str):
+    """Every cut of one variable as (tie-break key, left mask, left levels).
+
+    Numeric cuts lie midway between sorted distinct values, keyed by the
+    threshold, with levels None. Categorical cuts are the proper subsets in
+    canonical order, each partition listed once with the lowest level pinned
+    to the left side, keyed by the subset's bit pattern.
+    """
+    if kind == NUMERIC:
+        # candidates come from the sorted distinct values; each cut is
+        # evaluated on original-row-order subsets so that exact ties
+        # resolve identically no matter how the data is arranged
+        distinct = np.unique(col)
+        for i in range(1, len(distinct)):
+            threshold = (distinct[i - 1] + distinct[i]) / 2.0
+            yield threshold, col < threshold, None
+        return
+    levels = sorted(set(col.tolist()))
     rest = levels[1:]
-    for mask in range(2 ** len(rest)):
-        left = [levels[0]] + [v for i, v in enumerate(rest) if mask >> i & 1]
-        if len(left) == len(levels):
-            continue
-        yield float(mask), frozenset(left)
+    # the last bit pattern puts every level on the left
+    for bits in range(2 ** len(rest) - 1):
+        left = frozenset([levels[0]] + [v for i, v in enumerate(rest) if bits >> i & 1])
+        yield float(bits), np.isin(col, list(left)), left
 
 
 def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[SplitRule, float] | None:
@@ -233,49 +251,27 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
         return None
     tol = parent_sse * REDUCTION_TOL_REL
     best_key = None
-    best_rule = None
-    best_red = None
+    best_levels = None
     for var in range(table.n_vars):
-        col = table.x[rows, var]
-        if table.kinds[var] == NUMERIC:
-            # candidates come from the sorted distinct values; each cut is
-            # evaluated on original-row-order subsets so that exact ties
-            # resolve identically no matter how the data is arranged
-            distinct = np.unique(col)
-            for i in range(1, len(distinct)):
-                threshold = (distinct[i - 1] + distinct[i]) / 2.0
-                mask = col < threshold
-                n_left = int(mask.sum())
-                if n_left < minbucket or len(rows) - n_left < minbucket:
-                    continue
-                reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
-                if reduction <= tol:
-                    continue
-                key = (-reduction, var, threshold)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_rule = SplitRule(var=var, threshold=threshold)
-                    best_red = reduction
-        else:
-            levels = sorted(set(col.tolist()))
-            if len(levels) < 2:
+        for cut, mask, levels in _candidate_cuts(table.x[rows, var], table.kinds[var]):
+            n_left = int(mask.sum())
+            if n_left < minbucket or len(rows) - n_left < minbucket:
                 continue
-            for subset_key, left_levels in _categorical_partitions(levels):
-                mask = np.isin(col, list(left_levels))
-                n_left = int(mask.sum())
-                if n_left < minbucket or len(rows) - n_left < minbucket:
-                    continue
-                reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
-                if reduction <= tol:
-                    continue
-                key = (-reduction, var, subset_key)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_rule = SplitRule(var=var, left_levels=left_levels)
-                    best_red = reduction
-    if best_rule is None:
+            reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
+            if reduction <= tol:
+                continue
+            key = (-reduction, var, cut)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_levels = levels
+    if best_key is None:
         return None
-    return best_rule, best_red
+    neg_reduction, var, cut = best_key
+    if best_levels is None:
+        rule = SplitRule(var=var, threshold=cut)
+    else:
+        rule = SplitRule(var=var, left_levels=best_levels)
+    return rule, -neg_reduction
 
 
 def default_minsplit(n: int) -> int:
@@ -302,7 +298,7 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
         if found is None:
             return node
         rule, reduction = found
-        mask = np.array([rule.goes_left(v) for v in table.x[rows, rule.var]])
+        mask = rule.mask(table.x[rows, rule.var])
         node.rule = rule
         node.improvement = reduction
         node.left = build(rows[mask])
@@ -323,9 +319,8 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
     work = tree.clone()
 
     def link_strength(node: TreeNode) -> float:
-        subtree_sse = sum(leaf.sse for leaf in _subtree_leaves(node))
-        n_leaves = sum(1 for _ in _subtree_leaves(node))
-        return (node.sse - subtree_sse) / (n_leaves - 1)
+        leaves = [n for n in _preorder(node) if n.is_leaf]
+        return (node.sse - sum(leaf.sse for leaf in leaves)) / (len(leaves) - 1)
 
     def collapse_at_or_below(threshold: float) -> None:
         # bottom-up so that strengths are evaluated on the already-collapsed tree
@@ -341,7 +336,7 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
     collapse_at_or_below(0.0)
     sequence.append((0.0, work.clone()))
     while not work.root.is_leaf:
-        alpha = min(link_strength(n) for n in _internal(work.root))
+        alpha = min(link_strength(n) for n in _preorder(work.root) if not n.is_leaf)
         collapse_at_or_below(alpha)
         if alpha <= sequence[-1][0]:
             sequence[-1] = (sequence[-1][0], work.clone())
@@ -350,19 +345,13 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
     return sequence
 
 
-def _subtree_leaves(node: TreeNode):
-    if node.is_leaf:
-        yield node
-    else:
-        yield from _subtree_leaves(node.left)
-        yield from _subtree_leaves(node.right)
-
-
-def _internal(node: TreeNode):
+def _preorder(node: TreeNode):
+    """The subtree's nodes, each before its left then its right subtree; sums
+    over them in pruning and importance depend on this order."""
+    yield node
     if not node.is_leaf:
-        yield node
-        yield from _internal(node.left)
-        yield from _internal(node.right)
+        yield from _preorder(node.left)
+        yield from _preorder(node.right)
 
 
 def _postorder(node: TreeNode):
@@ -461,7 +450,7 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
     for node in tree.internal_nodes():
         rule = node.rule
         scores[rule.var] += node.improvement
-        went_left = np.array([rule.goes_left(v) for v in table.x[node.rows, rule.var]])
+        went_left = rule.mask(table.x[node.rows, rule.var])
         n_node = len(node.rows)
         majority = max(went_left.sum(), n_node - went_left.sum()) / n_node
         if majority >= 1.0:
@@ -481,31 +470,9 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
 
 
 def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_left: np.ndarray) -> float:
-    col = table.x[rows, var]
     n = len(rows)
     best = 0.0
-    if table.kinds[var] == NUMERIC:
-        values = np.unique(col)
-        for i in range(1, len(values)):
-            threshold = (values[i - 1] + values[i]) / 2.0
-            mask = col < threshold
-            agree = max((mask == went_left).sum(), (mask != went_left).sum()) / n
-            best = max(best, agree)
-    else:
-        levels = sorted(set(col.tolist()))
-        if len(levels) < 2:
-            return 0.0
-        for _, left_levels in _categorical_partitions(levels):
-            mask = np.isin(col, list(left_levels))
-            agree = max((mask == went_left).sum(), (mask != went_left).sum()) / n
-            best = max(best, agree)
+    for _, mask, _ in _candidate_cuts(table.x[rows, var], table.kinds[var]):
+        agree = max((mask == went_left).sum(), (mask != went_left).sum()) / n
+        best = max(best, agree)
     return float(best)
-
-
-def predict(tree: RegressionTree, record) -> float:
-    """Route a single record to its leaf mean; missing values on routed
-    variables are an error (no surrogate routing at prediction time)."""
-    row = np.asarray(record, dtype=float)
-    if row.ndim != 1 or len(row) != tree.table.n_vars:
-        raise ValueError(f"record must have {tree.table.n_vars} values")
-    return tree.predict_row(row)

@@ -33,14 +33,10 @@ class ModwtDecomposition:
     details: tuple[np.ndarray, ...]
     smooth: np.ndarray
     levels: int
-    boundary: str = "periodic"
 
     @property
     def n(self) -> int:
         return len(self.smooth)
-
-    def coefficient_matrix(self) -> np.ndarray:
-        return np.vstack([*self.details, self.smooth])
 
 
 def _circular_filter(x: np.ndarray, kernel: np.ndarray, level: int, synthesis: bool) -> np.ndarray:

@@ -184,8 +184,6 @@ def _ref_stability_violation(coeffs, limit: float = 1.0 - arima._ROOT_MARGIN) ->
 
 
 def _ref_css_residuals(w, phi, theta, intercept):
-    if arima.HAVE_NUMBA:  # the jit kernel is shared; only the numpy path is vendored here
-        return arima._css_residuals(w, phi, theta, intercept)
     u = w - intercept
     for i in range(1, len(phi) + 1):
         u[i:] -= phi[i - 1] * w[:-i]
@@ -333,6 +331,70 @@ class TestProbeWarnings:
             fit = fit_arima(x, ArimaOrder(0, 0, 3), n_condition=3)
         assert _bits(got) == _bits(_ref_estimate(*args))
         assert fit.theta.tobytes() == got[1].tobytes()
+
+
+# Reference undifferencing: the per-step binomial loops of `fitted_transformed`
+# and `forecast_transformed` from before both were built on whole-array
+# integration.
+
+
+def _ref_fitted_transformed(fit):
+    d = fit.order.d
+    z = fit.transformed
+    out = z.copy()
+    if d == 0:
+        out[:] = fit.fitted
+        return out
+    pred_w = fit.fitted
+    coeffs = [math.comb(d, j) * (-1) ** (j + 1) for j in range(1, d + 1)]
+    for t in range(d, len(z)):
+        out[t] = pred_w[t - d] + sum(c * z[t - j] for j, c in enumerate(coeffs, start=1))
+    return out
+
+
+def _ref_forecast_transformed(fit, h):
+    d = fit.order.d
+    wf = arima._forecast_diffed(fit, h)
+    if d == 0:
+        return wf
+    tail = list(fit.transformed[-d:])
+    coeffs = [math.comb(d, j) * (-1) ** (j + 1) for j in range(1, d + 1)]
+    out = np.empty(h)
+    for step in range(h):
+        level = wf[step] + sum(c * tail[-j] for j, c in enumerate(coeffs, start=1))
+        out[step] = level
+        tail.append(level)
+    return out
+
+
+def _undiff_fits(d):
+    """Log-scale fits of order (p, d, q) on growing count series."""
+    fits = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        counts = np.round(20.0 * np.exp(rng.normal(0.05, 0.1, 60).cumsum()))
+        for p, q in ((0, 0), (1, 1), (2, 1)):
+            fits.append(fit_arima(counts, ArimaOrder(p, d, q), LOG_TRANSFORM))
+    return fits
+
+
+class TestUndifferencingParity:
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_fitted_transformed_bit_identical(self, d):
+        for fit in _undiff_fits(d):
+            assert fit.fitted_transformed().tobytes() == _ref_fitted_transformed(fit).tobytes()
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_forecast_transformed(self, d):
+        for fit in _undiff_fits(d):
+            got = forecast_transformed(fit, 12)
+            expected = _ref_forecast_transformed(fit, 12)
+            if d < 2:
+                assert got.tobytes() == expected.tobytes()
+            else:
+                # two cumulative sums round differently from the binomial
+                # weights 2, -1 in the last bits
+                np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
 
 def _one_cpu(monkeypatch):

@@ -137,6 +137,24 @@ class TestForecast:
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["fetch", "india"], "horizon"),
+    (["forecast", "india.csv"], "folds"),
+    (["risktree", "cfr_countries.csv"], "horizon"),
+    (["eval", "india.csv", "india.csv"], "offline"),
+], ids=["fetch", "forecast", "risktree", "eval"])
+def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv, key):
+    # a key the command has no flag for would be read by nothing
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = 1\n{key} = 5\n")
+    command, *inputs = argv
+    paths = inputs if command == "fetch" else [str(data_dir / name) for name in inputs]
+    assert run_cli(command, *paths, "--config", str(config), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"{command}: {config}:2: option '{key}' does not apply to {command}\n")
+    assert not (tmp_path / "o").exists()
+
+
 # Series at the edges of what `forecast` accepts, each with the base order
 # (p, d, q) it selects. The AIC rule picks these as they are: ARIMA(4,0,2)
 # spends 7 coefficients on the 15 residuals of the length-20 quadratic.

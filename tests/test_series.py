@@ -120,9 +120,10 @@ class TestTransform:
         with pytest.raises(ValueError, match="non-negative"):
             LOG_TRANSFORM.forward(np.array([-1.0]))
 
-    def test_boxcox_only_supports_lambda_zero(self):
-        with pytest.raises(ValueError, match="lam"):
-            TransformSpec(kind="boxcox", lam=0.5)
+    @pytest.mark.parametrize("kind", ["log1p", "log", "Boxcox"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"^unknown transform kind '{kind}'$"):
+            TransformSpec(kind)
 
     @given(counts)
     @settings(max_examples=150, deadline=None)

@@ -1,6 +1,8 @@
 """Regression-tree tests: toy cases, brute-force oracles for splitting and
 pruning, cross-validation behavior, importance and prediction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,23 @@ def enumerate_pruned_subtrees(node):
 def oracle_optimal_subtree(candidates, alpha):
     """Min SSE + alpha * leaves; fewest leaves breaks cost ties."""
     return min(candidates, key=lambda c: (c[1] + alpha * c[2], c[2]))
+
+
+def oracle_route(fitted, row):
+    """Leaf mean for one record, routed one value at a time as per-row
+    `SplitRule.goes_left` calls did."""
+    node = fitted.root
+    while not node.is_leaf:
+        rule = node.rule
+        value = row[rule.var]
+        if math.isnan(value):
+            raise ValueError(f"missing value for split variable {rule.var}")
+        if rule.threshold is not None:
+            goes_left = value < rule.threshold
+        else:
+            goes_left = value in rule.left_levels
+        node = node.left if goes_left else node.right
+    return node.mean
 
 
 def random_table(rng, n=None, n_vars=None):
@@ -347,15 +366,15 @@ class TestPredict:
     def test_root_only_returns_global_mean(self):
         tbl = table_from_arrays(np.arange(5.0)[:, None], np.array([1.0, 2, 3, 4, 5]))
         fitted = grow(tbl, minsplit=10, minbucket=1)
-        assert tree.predict(fitted, [99.0]) == pytest.approx(3.0)
+        assert fitted.predict([99.0])[0] == pytest.approx(3.0)
 
     def test_toy_routing(self):
         tbl = table_from_arrays(
             np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0.0, 0.0, 10.0, 10.0])
         )
         fitted = grow(tbl, minsplit=2, minbucket=1)
-        assert tree.predict(fitted, [1.0]) == 0.0
-        assert tree.predict(fitted, [4.0]) == 10.0
+        assert fitted.predict([1.0])[0] == 0.0
+        assert fitted.predict([4.0])[0] == 10.0
 
     def test_missing_routed_value_rejected(self):
         tbl = table_from_arrays(
@@ -363,7 +382,7 @@ class TestPredict:
         )
         fitted = grow(tbl, minsplit=2, minbucket=1)
         with pytest.raises(ValueError, match="missing"):
-            tree.predict(fitted, [float("nan")])
+            fitted.predict([float("nan")])[0]
 
     def test_cfr_high_case_mid_population_rule(self, cfr_table):
         cv = cross_validate(cfr_table, minsplit=5, minbucket=1, folds=10, seed=0)
@@ -380,7 +399,7 @@ class TestPredict:
             income_level=1.0,
             climate_zone=0.0,
         )
-        value = tree.predict(cv.tree, [record[n] for n in cfr_table.names])
+        value = cv.tree.predict([record[n] for n in cfr_table.names])[0]
         assert value == pytest.approx(0.10, abs=0.015)
 
     @given(st.integers(0, 10_000))
@@ -393,9 +412,43 @@ class TestPredict:
             node.rule.threshold for node in fitted.internal_nodes() if node.rule.var == 0
         )
         base = np.array([0.0, tbl.x[:, 1].mean()])
-        value = tree.predict(fitted, base)
+        value = fitted.predict(base)[0]
         # nudge the first coordinate without crossing any split threshold
         eps = min((t - base[0] for t in thresholds if t > base[0]), default=1.0) / 2
         nudged = base.copy()
         nudged[0] += eps * 0.9
-        assert tree.predict(fitted, nudged) == value
+        assert fitted.predict(nudged)[0] == value
+
+    def test_wrong_width_rejected(self):
+        tbl = table_from_arrays(
+            np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0]]),
+            np.array([0.0, 0.0, 10.0, 10.0]),
+        )
+        fitted = grow(tbl, minsplit=2, minbucket=1)
+        for bad in ([1.0], [1.0, 2.0, 3.0], np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="^record must have 2 values$"):
+                fitted.predict(bad)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_routing_matches_per_row_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 41))
+        kinds = tuple(str(k) for k in rng.choice([tree.NUMERIC, tree.CATEGORICAL], size=3))
+        x = np.column_stack([
+            rng.normal(size=n) if kind == tree.NUMERIC else rng.integers(0, 4, n).astype(float)
+            for kind in kinds
+        ])
+        tbl = Table(("a", "b", "c"), kinds, x, rng.normal(size=n) + 3.0 * (x[:, 0] > 0.5))
+        fitted = grow(tbl, minsplit=4, minbucket=1)
+        # training rows, then fresh records that include unseen levels
+        fresh = np.column_stack([
+            rng.normal(scale=2.0, size=20) if kind == tree.NUMERIC
+            else rng.integers(-1, 6, 20).astype(float)
+            for kind in kinds
+        ])
+        # no split reads these columns, so a missing value there is no error
+        fresh[:, sorted({0, 1, 2} - fitted.used_variables())] = np.nan
+        for records in (x, fresh):
+            expected = [oracle_route(fitted, row) for row in records]
+            assert fitted.predict(records).tolist() == expected
