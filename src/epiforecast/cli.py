@@ -25,7 +25,7 @@ class RunConfig:
     minsplit: int | None = None
     folds: int = 10
     seed: int = 0
-    out: str = "out"
+    out: str | None = None  # unset: "out", except that eval then writes nothing
     offline: bool = True
 
 
@@ -73,14 +73,19 @@ def build_config(args) -> RunConfig:
     return config
 
 
+def _out_dir(config: RunConfig) -> Path:
+    out = Path(config.out if config.out is not None else "out")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_fetch(args) -> int:
     config = build_config(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     source = args.source
     if source.startswith("http://") or source.startswith("https://"):
         if config.offline:
@@ -111,8 +116,7 @@ def cmd_fetch(args) -> int:
 
 def cmd_forecast(args) -> int:
     config = build_config(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     path = Path(args.input)
     stem = path.stem
     s = load_series_csv(path)
@@ -181,8 +185,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_risktree(args) -> int:
     config = build_config(args)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     table = datasets.load_cfr_csv(args.input)
     minsplit = config.minsplit if config.minsplit is not None else tree.default_minsplit(table.n)
     cv = tree.cross_validate(
@@ -247,10 +250,8 @@ def cmd_eval(args) -> int:
     payload = {"n_dates": len(shared), "first": shared[0], "last": shared[-1],
                "metrics": report.to_dict()}
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out is not None:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "eval.json", payload)
+    if config.out is not None:
+        _write_json(_out_dir(config) / "eval.json", payload)
     return 0
 
 
@@ -281,7 +282,8 @@ def _read_dated_column(path, value_field: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--out", help="output directory (default: out)")
+    parser.add_argument("--out", help="output directory (default: out; eval writes "
+                        "eval.json only when given here or in --config)")
     parser.add_argument("--seed", type=int, help="seed for any cross-validation fold assignment")
 
 

@@ -213,23 +213,11 @@ def _sse(values: np.ndarray) -> float:
     return float(np.sum((values - values.mean()) ** 2))
 
 
-def _candidate_cuts(col: np.ndarray, kind: str):
-    """Every cut of one variable as (tie-break key, left mask, left levels).
-
-    Numeric cuts lie midway between sorted distinct values, keyed by the
-    threshold, with levels None. Categorical cuts are the proper subsets in
-    canonical order, each partition listed once with the lowest level pinned
-    to the left side, keyed by the subset's bit pattern.
-    """
-    if kind == NUMERIC:
-        # candidates come from the sorted distinct values; each cut is
-        # evaluated on original-row-order subsets so that exact ties
-        # resolve identically no matter how the data is arranged
-        distinct = np.unique(col)
-        for i in range(1, len(distinct)):
-            threshold = (distinct[i - 1] + distinct[i]) / 2.0
-            yield threshold, col < threshold, None
-        return
+def _subset_cuts(col: np.ndarray):
+    """Every cut of one categorical variable as (tie-break key, left mask,
+    left levels): the proper subsets in canonical order, each partition listed
+    once with the lowest level pinned to the left side, keyed by the subset's
+    bit pattern."""
     levels = sorted(set(col.tolist()))
     rest = levels[1:]
     # the last bit pattern puts every level on the left
@@ -238,24 +226,95 @@ def _candidate_cuts(col: np.ndarray, kind: str):
         yield float(bits), np.isin(col, list(left)), left
 
 
+def _sorted_cuts(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable row order, thresholds and left counts of every cut of one
+    numeric variable.
+
+    Cuts lie midway between sorted distinct values. Rows sorted by the
+    variable (NaN last) put the left side of each cut, `col < threshold`, on
+    a prefix of that order: its length counts the values below the threshold,
+    and is 0 for a NaN threshold (one NaN value, or -inf next to inf), which
+    no value is below.
+    """
+    order = np.argsort(col, kind="stable")
+    distinct = np.unique(col)
+    thresholds = (distinct[:-1] + distinct[1:]) / 2.0
+    n_left = np.searchsorted(col[order], thresholds, side="left")
+    n_left[np.isnan(thresholds)] = 0
+    return order, thresholds, n_left
+
+
+def _shortlist_margin(y: np.ndarray, centred: np.ndarray, parent_sse: float) -> float:
+    """Twice a bound on how far the prefix-sum reduction of a cut and its
+    brute-force reduction can each lie from the exact one.
+
+    With g = (n + 4) eps, M = max|y| and A = sum|y - mean|: mean rounding
+    biases each `_sse` by at most B = n (g M)^2, so the exact parent SSE is
+    below P = (1 + g)(parent_sse + 2B); the brute-force reduction is off by at
+    most 3gP + 4B; the centred prefix difference D is off by at most
+    E = 2gA, and the prefix reduction n D^2 / (k (n - k)) by at most
+    4 sqrt(2P) E + 4E^2 + gP.
+    """
+    g = (len(y) + 4) * np.finfo(float).eps
+    bias = len(y) * (g * float(np.max(np.abs(y), initial=0.0))) ** 2
+    p_hi = (1 + g) * (parent_sse + 2 * bias)
+    d_err = 2 * g * float(np.sum(np.abs(centred)))
+    return 8 * (g * p_hi + bias + math.sqrt(2 * p_hi) * d_err + d_err**2)
+
+
 def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[SplitRule, float] | None:
     """Best SSE-reducing split over all variables and admissible cut points.
 
     Ties break toward the lowest variable index, then the lowest threshold
     (numeric) or the canonical subset order (categorical). Returns None when
     no admissible split reduces the parent SSE.
+
+    One sorted scan per numeric variable gives every cut's reduction from
+    prefix sums of the centred response. Those values only shortlist the cuts
+    within `_shortlist_margin` of the best; each shortlisted cut, and every
+    categorical cut, is then scored exactly as brute force scores it, so the
+    winner and its reduction are the brute-force ones.
     """
     y = table.y[rows]
     parent_sse = _sse(y)
     if parent_sse <= PURITY_TOL_REL * max(float(np.dot(y, y)), 1e-300):
         return None
     tol = parent_sse * REDUCTION_TOL_REL
+    n = len(rows)
+    centred = y - y.mean()
+    scans = {}
+    best_approx = -np.inf
+    for var in range(table.n_vars):
+        if table.kinds[var] != NUMERIC:
+            continue
+        order, thresholds, n_left = _sorted_cuts(table.x[rows, var])
+        prefix = np.concatenate(([0.0], np.cumsum(centred[order])))
+        diff = prefix[n_left] - prefix[-1] * (n_left / n)
+        # at k = 0 or k = n the difference is exactly 0, and so is approx
+        approx = n * diff**2 / np.maximum(n_left * (n - n_left), 1)
+        admissible = (n_left >= minbucket) & (n - n_left >= minbucket)
+        best_approx = max(best_approx, np.max(approx[admissible], initial=-np.inf))
+        scans[var] = thresholds, approx, admissible
+    floor = best_approx - _shortlist_margin(y, centred, parent_sse)
+    if not math.isfinite(floor):
+        # non-finite data or overflow: no bound holds, so score every cut
+        floor = -math.inf
+
     best_key = None
     best_levels = None
     for var in range(table.n_vars):
-        for cut, mask, levels in _candidate_cuts(table.x[rows, var], table.kinds[var]):
+        col = table.x[rows, var]
+        if var in scans:
+            thresholds, approx, admissible = scans[var]
+            kept = thresholds[admissible & ~(approx < floor)]
+            # scored on original-row-order subsets, so that exact ties
+            # resolve identically no matter how the data is arranged
+            cuts = ((cut, col < cut, None) for cut in kept)
+        else:
+            cuts = _subset_cuts(col)
+        for cut, mask, levels in cuts:
             n_left = int(mask.sum())
-            if n_left < minbucket or len(rows) - n_left < minbucket:
+            if n_left < minbucket or n - n_left < minbucket:
                 continue
             reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
             if reduction <= tol:
@@ -401,10 +460,14 @@ def cross_validate(
         sub = table.subset(keep)
         fold_tree = grow(sub, minsplit, minbucket)
         fold_seq = prune_sequence(fold_tree)
+        # neighbouring alphas often select the same pruned tree: predict once
+        errors_by_tree = {}
         for i, alpha in enumerate(eval_alphas):
             pruned = _tree_at_alpha(fold_seq, alpha)
-            preds = pruned.predict(table.x[holdout])
-            sq_errors[i, holdout] = (table.y[holdout] - preds) ** 2
+            if id(pruned) not in errors_by_tree:
+                preds = pruned.predict(table.x[holdout])
+                errors_by_tree[id(pruned)] = (table.y[holdout] - preds) ** 2
+            sq_errors[i, holdout] = errors_by_tree[id(pruned)]
 
     cv_mean = sq_errors.mean(axis=1)
     cv_se = sq_errors.std(axis=1, ddof=1) / math.sqrt(table.n)
@@ -470,9 +533,21 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
 
 
 def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_left: np.ndarray) -> float:
+    """Highest share of the node's rows that one cut of `var` sends the same
+    way as the primary split, or the opposite way."""
     n = len(rows)
-    best = 0.0
-    for _, mask, _ in _candidate_cuts(table.x[rows, var], table.kinds[var]):
-        agree = max((mask == went_left).sum(), (mask != went_left).sum()) / n
-        best = max(best, agree)
-    return float(best)
+    col = table.x[rows, var]
+    if table.kinds[var] == NUMERIC:
+        order, _, n_left = _sorted_cuts(col)
+        went_prefix = np.concatenate(([0], np.cumsum(went_left[order])))
+        # rows agreeing: primary-left rows on the cut's left side plus
+        # primary-right rows on its right side
+        agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]
+        best = int(np.max(np.maximum(agree, n - agree), initial=0))
+    else:
+        best = max(
+            (max(int((mask == went_left).sum()), int((mask != went_left).sum()))
+             for _, mask, _ in _subset_cuts(col)),
+            default=0,
+        )
+    return best / n

@@ -285,3 +285,17 @@ class TestEval:
         forecast.write_text("date,hybrid\n2020-03-01,2\n2020-03-02,2\n")
         assert run_cli("eval", str(actual), str(forecast)) == 1
         assert capsys.readouterr().err == f"eval: {actual}:4: duplicate date '2020-03-01'\n"
+
+    def test_eval_json_written_only_for_a_flag_or_config_out(self, tmp_path, data_dir, monkeypatch, capsys):
+        path = str(data_dir / "india.csv")
+        config = tmp_path / "e.cfg"
+        config.write_text(f"out = {tmp_path / 'cfgout'}\n")
+        monkeypatch.chdir(tmp_path)
+        printed = []
+        for extra in ([], ["--config", str(config)], ["--out", "flagout"]):
+            assert run_cli("eval", path, path, "--column", "cases", *extra) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        # without an out directory nothing is written, not even ./out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgout", "e.cfg", "flagout"]
+        for name in ("cfgout", "flagout"):
+            assert json.loads((tmp_path / name / "eval.json").read_text()) == printed[0]

@@ -25,8 +25,9 @@ from epiforecast.tree import (
 # ------------------------------------------------------------ oracles
 
 
-def oracle_best_split(table, rows, minbucket):
-    """Plain exhaustive enumeration over every admissible cut."""
+def oracle_split_search(table, rows, minbucket):
+    """Plain exhaustive enumeration over every admissible cut; the winning
+    rule and its SSE reduction, or None."""
     y = table.y[rows]
     parent = float(np.sum((y - y.mean()) ** 2))
     if parent <= tree.PURITY_TOL_REL * max(float(np.dot(y, y)), 1e-300):
@@ -37,7 +38,13 @@ def oracle_best_split(table, rows, minbucket):
         col = table.x[rows, var]
         if table.kinds[var] == tree.NUMERIC:
             for cut in sorted(set(col.tolist())):
-                mask = col < cut
+                if not (col < cut).any():
+                    continue
+                below = col[col < cut].max()
+                threshold = (below + cut) / 2.0
+                # the partition the rule makes, which differs from col < cut
+                # where the midpoint rounds or overflows (next to +-inf)
+                mask = col < threshold
                 n_left = int(mask.sum())
                 if n_left < minbucket or len(rows) - n_left < minbucket or n_left == 0:
                     continue
@@ -49,8 +56,6 @@ def oracle_best_split(table, rows, minbucket):
                 )
                 if reduction <= tol:
                     continue
-                below = col[col < cut].max()
-                threshold = (below + cut) / 2.0
                 key = (-reduction, var, threshold)
                 if best is None or key < best[0]:
                     best = (key, SplitRule(var=var, threshold=threshold))
@@ -78,7 +83,35 @@ def oracle_best_split(table, rows, minbucket):
                 key = (-reduction, var, float(mask_bits))
                 if best is None or key < best[0]:
                     best = (key, SplitRule(var=var, left_levels=subset))
-    return best[1] if best else None
+    return (best[1], -best[0][0]) if best else None
+
+
+def oracle_best_split(table, rows, minbucket):
+    """The rule `oracle_split_search` picks, or None."""
+    found = oracle_split_search(table, rows, minbucket)
+    return found[0] if found else None
+
+
+def oracle_surrogate_agreement(table, rows, var, went_left):
+    """Best agreement of one cut of `var` with `went_left`, scoring each cut
+    with its own mask."""
+    col = table.x[rows, var]
+    n = len(rows)
+    if table.kinds[var] == tree.NUMERIC:
+        distinct = np.unique(col)
+        masks = [col < (distinct[i - 1] + distinct[i]) / 2.0 for i in range(1, len(distinct))]
+    else:
+        levels = sorted(set(col.tolist()))
+        rest = levels[1:]
+        masks = [
+            np.isin(col, [levels[0]] + [v for i, v in enumerate(rest) if bits >> i & 1])
+            for bits in range(2 ** len(rest) - 1)
+        ]
+    best = 0.0
+    for mask in masks:
+        agree = max((mask == went_left).sum(), (mask != went_left).sum()) / n
+        best = max(best, agree)
+    return float(best)
 
 
 def enumerate_pruned_subtrees(node):
@@ -113,6 +146,52 @@ def oracle_route(fitted, row):
             goes_left = value in rule.left_levels
         node = node.left if goes_left else node.right
     return node.mean
+
+
+def hard_table(rng):
+    """A random table with the inputs that trip a split search up: tied and
+    constant x, NaN and +-inf entries, categorical columns with 2-4 levels, a
+    column that makes the previous one's partitions in reverse row order (so
+    exact ties in the reduction are decided in the last bit), and a constant,
+    offset (1e8 + noise), outlier (1e12) or integer response."""
+    n = int(rng.integers(2, 41))
+    kinds, columns = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        style = rng.integers(0, 6)
+        col = rng.normal(size=n)
+        if style == 5 and columns:
+            col = -3.0 * columns[-1]
+        elif style == 0:
+            col = np.round(col, 1)
+        elif style == 1:
+            col = np.full(n, 2.5)
+        elif style == 2:
+            col[rng.random(n) < 0.2] = np.inf
+            col[rng.random(n) < 0.2] = -np.inf
+            col[rng.random(n) < 0.1] = np.nan
+        elif style == 3:
+            col = rng.integers(0, int(rng.integers(2, 5)), n).astype(float)
+        kinds.append(tree.CATEGORICAL if style == 3 else tree.NUMERIC)
+        columns.append(col)
+    y = rng.normal(size=n)
+    response = rng.integers(0, 5)
+    if response == 0:
+        y = np.full(n, 0.3)
+    elif response == 1:
+        y = 1e8 + y
+    elif response == 2:
+        y[rng.integers(n)] = 1e12
+    elif response == 3:
+        y = np.round(y)
+    names = tuple(f"v{i}" for i in range(len(kinds)))
+    return Table(names, tuple(kinds), np.column_stack(columns), y)
+
+
+def random_rows(rng, n):
+    """Every row, or a sorted random subset as a node below the root sees."""
+    if rng.random() < 0.5:
+        return np.arange(n)
+    return np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
 
 
 def random_table(rng, n=None, n_vars=None):
@@ -179,6 +258,37 @@ class TestBestSplit:
         else:
             rule, _ = got
             assert rule == expected
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_rule_and_reduction_match_oracle_on_hard_tables(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            tbl = hard_table(rng)
+            rows = random_rows(rng, tbl.n)
+            minbucket = int(rng.integers(1, 6))
+            assert best_split(tbl, rows, minbucket) == oracle_split_search(tbl, rows, minbucket)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_surrogate_agreement_matches_per_cut_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            tbl = hard_table(rng)
+            rows = random_rows(rng, tbl.n)
+            went_left = rng.random(len(rows)) < rng.random()
+            for var in range(tbl.n_vars):
+                got = tree._best_surrogate_agreement(tbl, rows, var, went_left)
+                assert got == oracle_surrogate_agreement(tbl, rows, var, went_left)
+
+    def test_cfr_growth_scores_few_cuts_exactly(self, cfr_table, monkeypatch):
+        calls = []
+        sse = tree._sse
+        monkeypatch.setattr(tree, "_sse", lambda values: calls.append(1) or sse(values))
+        fitted = grow(cfr_table, minsplit=5, minbucket=1)
+        # per node: one SSE in grow, and where it splits, the parent SSE plus
+        # two per categorical subset (4 on this table) and per shortlisted
+        # numeric cut; scoring every cut exactly makes ~83 per node
+        assert len(calls) <= 12 * len(fitted.nodes())
 
 
 # ------------------------------------------------------------ grow
