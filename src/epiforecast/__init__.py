@@ -4,21 +4,12 @@ regression-tree risk assessment."""
 from .arima import ArimaFit, ArimaOrder, fit_arima, forecast_arima, select_order
 from .hybrid import HybridFit, fit_hybrid, forecast_components, forecast_hybrid
 from .metrics import adj_r2, mae, r2, rmse
-from .series import (
-    TimeSeries,
-    TransformSpec,
-    acf,
-    adf_test,
-    difference,
-    inverse_difference,
-    pacf,
-)
+from .series import TimeSeries, TransformSpec, acf, adf_test
 from .tree import RegressionTree, Table, best_split, cross_validate, grow, prune_sequence
 from .wavelet import (
     ModwtDecomposition,
     WbfFit,
     decomposition_level,
-    denoise,
     imodwt,
     modwt,
     wbf_fit,
@@ -43,8 +34,6 @@ __all__ = [
     "best_split",
     "cross_validate",
     "decomposition_level",
-    "denoise",
-    "difference",
     "fit_arima",
     "fit_hybrid",
     "forecast_arima",
@@ -52,10 +41,8 @@ __all__ = [
     "forecast_hybrid",
     "grow",
     "imodwt",
-    "inverse_difference",
     "mae",
     "modwt",
-    "pacf",
     "prune_sequence",
     "r2",
     "rmse",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -452,40 +453,42 @@ def _fit_cells(jobs: list) -> list:
     """`_fit_cell` on every job, spread over the usable CPUs; results in input order.
 
     The pool of (usable CPUs - 1) workers takes the jobs heaviest first, by
-    coefficient count p + q, then q. The main process works through the same
-    list from the cheap end, taking each job the pool has not started, so no
-    more processes are busy than there are CPUs. It never takes the first
-    job of each worker, which the pool starts at once.
+    coefficient count p + q, then q, and holds at most one job more than it
+    has workers. The main process fits the cheapest job not yet handed out
+    while the pool is full, so no more processes are busy than there are CPUs.
+    If a worker dies, say killed for memory, the pool is dropped and the main
+    process fits every job still without a result; the next batch forks a new
+    pool.
     """
     global _pool
     pool = _cell_pool() if len(jobs) > 1 else None
     if pool is None:
         return [_fit_cell(job) for job in jobs]
+    from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool
 
     workers, executor = pool
-    heaviest_first = sorted(range(len(jobs)), reverse=True,
-                            key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q))
-    futures = []
+    todo = deque(sorted(range(len(jobs)), reverse=True,
+                        key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q)))
     results = [None] * len(jobs)
+    submitted = {}
     try:
-        futures = [(i, executor.submit(_fit_cell, jobs[i])) for i in heaviest_first]
-        for i, future in reversed(futures[workers:]):
-            if not future.cancel():
-                break
-            results[i] = _fit_cell(jobs[i])
-        for i, future in futures:
-            if not future.cancelled():
-                results[i] = future.result()
+        while todo or submitted:
+            while todo and len(submitted) <= workers:
+                i = todo.popleft()
+                submitted[executor.submit(_fit_cell, jobs[i])] = i
+            if todo:
+                i = todo.pop()
+                results[i] = _fit_cell(jobs[i])
+            # wait only once the main process has no job left to fit
+            done, _ = wait(submitted, 0 if todo else None, FIRST_COMPLETED)
+            for future in done:
+                results[submitted.pop(future)] = future.result()
     except BrokenProcessPool:
-        # a worker died, say killed for memory: this batch fails, the next
-        # one starts a new pool
+        executor.shutdown()
         _pool = None
-        raise
-    finally:
-        # after an error, drop the jobs the pool has not started
-        for _, future in futures:
-            future.cancel()
+        results = [_fit_cell(job) if result is None else result
+                   for job, result in zip(jobs, results)]
     return results
 
 

@@ -8,7 +8,6 @@ import json
 import math
 import shutil
 import sys
-import urllib.request
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -26,7 +25,6 @@ class RunConfig:
     folds: int = 10
     seed: int = 0
     out: str | None = None  # unset: "out", except that eval then writes nothing
-    offline: bool = True
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -52,8 +50,6 @@ def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_T
                 raise ValueError(f"{path}:{lineno}: option {key!r} does not apply to {command}")
             if key in ("horizon", "minsplit", "folds", "seed"):
                 values[key] = int(text)
-            elif key == "offline":
-                values[key] = text.lower() in ("1", "true", "yes", "on")
             else:
                 values[key] = text
     return values
@@ -85,20 +81,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_fetch(args) -> int:
     config = build_config(args)
-    out = _out_dir(config)
-    source = args.source
-    if source.startswith("http://") or source.startswith("https://"):
-        if config.offline:
-            print("fetch: refusing to touch the network in offline mode", file=sys.stderr)
-            return 1
-        dest = out / Path(source).name
-        with urllib.request.urlopen(source) as resp:
-            dest.write_bytes(resp.read())
-        load_series_csv(dest)  # validate schema before declaring success
-        print(dest)
-        return 0
     names = datasets.available() + [datasets.CFR_TABLE]
-    wanted = names if source == "all" else [source]
+    wanted = names if args.source == "all" else [args.source]
     for name in wanted:
         if name not in names:
             print(
@@ -106,6 +90,7 @@ def cmd_fetch(args) -> int:
                 file=sys.stderr,
             )
             return 1
+    out = _out_dir(config)
     for name in wanted:
         with resources.as_file(datasets.bundled_path(name)) as src:
             dest = out / f"{name}.csv"
@@ -294,12 +279,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fetch = sub.add_parser("fetch", help="write a bundled (or remote) dataset as CSV")
-    p_fetch.add_argument("source", help="bundled name, 'all', or an http(s) URL")
-    p_fetch.add_argument("--offline", action="store_true", default=None,
-                         help="never touch the network (default)")
-    p_fetch.add_argument("--online", dest="offline", action="store_false",
-                         help="allow fetching from a URL")
+    p_fetch = sub.add_parser("fetch", help="write a bundled dataset as CSV")
+    p_fetch.add_argument("source", help="bundled name or 'all'")
     _add_common(p_fetch)
     p_fetch.set_defaults(func=cmd_fetch)
 

@@ -121,20 +121,6 @@ def undiff_values(diffed: np.ndarray, anchors: np.ndarray, d: int) -> np.ndarray
     return out
 
 
-def difference(s: TimeSeries, d: int) -> TimeSeries:
-    """Difference a series d times, dropping the first d dates."""
-    out = diff_values(s.values, d)
-    return TimeSeries(dates=s.dates[d:], values=out)
-
-
-def inverse_difference(diffed: TimeSeries, anchors: np.ndarray, d: int) -> TimeSeries:
-    """Undo differencing; the reconstructed series regains its first d dates."""
-    values = undiff_values(diffed.values, anchors, d)
-    first = diffed.dates[0] - dt.timedelta(days=d)
-    dates = tuple(first + dt.timedelta(days=i) for i in range(len(values)))
-    return TimeSeries(dates=dates, values=values)
-
-
 def acf(values, max_lag: int) -> np.ndarray:
     """Sample autocorrelations for lags 0..max_lag (biased estimator)."""
     values = np.asarray(values, dtype=float)
@@ -149,28 +135,6 @@ def acf(values, max_lag: int) -> np.ndarray:
         return out
     for k in range(1, max_lag + 1):
         out[k] = float(np.dot(centered[k:], centered[:-k])) / denom
-    return out
-
-
-def pacf(values, max_lag: int) -> np.ndarray:
-    """Partial autocorrelations via the Durbin-Levinson recursion."""
-    r = acf(values, max_lag)
-    out = np.zeros(max_lag + 1)
-    out[0] = 1.0
-    if max_lag == 0:
-        return out
-    phi_prev = np.zeros(max_lag + 1)
-    phi_prev[1] = r[1]
-    out[1] = r[1]
-    for k in range(2, max_lag + 1):
-        num = r[k] - np.dot(phi_prev[1:k], r[1:k][::-1])
-        den = 1.0 - np.dot(phi_prev[1:k], r[1:k])
-        phi_kk = 0.0 if abs(den) < 1e-12 else num / den
-        phi_cur = phi_prev.copy()
-        phi_cur[k] = phi_kk
-        phi_cur[1:k] = phi_prev[1:k] - phi_kk * phi_prev[1:k][::-1]
-        out[k] = phi_kk
-        phi_prev = phi_cur
     return out
 
 
@@ -275,16 +239,3 @@ def load_series_csv(path) -> TimeSeries:
         )
     return TimeSeries(dates=tuple(dates), values=np.asarray(values))
 
-
-def write_series_csv(path, series: TimeSeries) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "cases"])
-        for day, value in zip(series.dates, series.values):
-            writer.writerow([day.isoformat(), _format_count(value)])
-
-
-def _format_count(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))

@@ -3,7 +3,6 @@ wavelet-domain forecaster built on it."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -33,10 +32,6 @@ class ModwtDecomposition:
     details: tuple[np.ndarray, ...]
     smooth: np.ndarray
     levels: int
-
-    @property
-    def n(self) -> int:
-        return len(self.smooth)
 
 
 def _circular_filter(x: np.ndarray, kernel: np.ndarray, level: int, synthesis: bool) -> np.ndarray:
@@ -73,34 +68,6 @@ def imodwt(dec: ModwtDecomposition) -> np.ndarray:
         smooth = _circular_filter(dec.details[j - 1], _HAAR_DETAIL, j, synthesis=True) + \
             _circular_filter(smooth, _HAAR_SMOOTH, j, synthesis=True)
     return smooth
-
-
-def _reconstruct_masked(dec: ModwtDecomposition, keep_detail, keep_smooth: bool) -> np.ndarray:
-    zeros = np.zeros(dec.n)
-    details = tuple(d if keep_detail(j) else zeros for j, d in enumerate(dec.details, start=1))
-    smooth = dec.smooth if keep_smooth else zeros
-    return imodwt(ModwtDecomposition(details=details, smooth=smooth, levels=dec.levels))
-
-
-def mra_components(dec: ModwtDecomposition) -> list[np.ndarray]:
-    """Additive multiresolution components: one per detail level plus the smooth.
-
-    Because the inverse transform is linear, the components sum to the
-    reconstructed input exactly (within rounding).
-    """
-    parts = [
-        _reconstruct_masked(dec, keep_detail=lambda j, j0=j0: j == j0, keep_smooth=False)
-        for j0 in range(1, dec.levels + 1)
-    ]
-    parts.append(_reconstruct_masked(dec, keep_detail=lambda j: False, keep_smooth=True))
-    return parts
-
-
-def denoise(dec: ModwtDecomposition, drop_levels: int) -> np.ndarray:
-    """Reconstruction with the drop_levels finest detail sub-series removed."""
-    if not 0 <= drop_levels <= dec.levels:
-        raise ValueError(f"drop_levels must be in 0..{dec.levels}, got {drop_levels}")
-    return _reconstruct_masked(dec, keep_detail=lambda j: j > drop_levels, keep_smooth=True)
 
 
 @dataclass
@@ -192,13 +159,3 @@ def wbf_forecast_components(fit: WbfFit, h: int) -> np.ndarray:
     """Per-sub-series forecasts, one row per sub-series (details then smooth)."""
     return np.vstack([arima.forecast_transformed(f, h) for f in fit.sub_fits])
 
-
-def write_decomposition_csv(dec: ModwtDecomposition, path) -> None:
-    """One column per sub-series (detail_1..detail_J, smooth), for plotting."""
-    names = [f"detail_{j}" for j in range(1, dec.levels + 1)] + ["smooth"]
-    columns = [*dec.details, dec.smooth]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for t in range(dec.n):
-            writer.writerow([repr(float(col[t])) for col in columns])

@@ -3,11 +3,12 @@ closed-form oracles."""
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
+import threading
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -412,6 +413,32 @@ def _india_grid_jobs(country_series):
     return jobs
 
 
+def _pickled(results):
+    return [pickle.dumps(r) for r in results]
+
+
+def _thread_errors(monkeypatch):
+    """The uncaught exceptions of other threads from now on, such as the
+    executor's own thread failing a future a caller cancelled."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    return errors
+
+
+class _KillsOtherProcesses:
+    """A series whose `values` SIGKILLs any process but the one that made it."""
+
+    def __init__(self, values):
+        self._values = values
+        self._pid = os.getpid()
+
+    @property
+    def values(self):
+        if os.getpid() != self._pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self._values
+
+
 def _select_in_pool_worker(values):
     return select_order(values, max_p=2, max_q=2), arima._cell_pool()
 
@@ -421,6 +448,14 @@ needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
 
 
 class TestCellScheduler:
+    @pytest.fixture(autouse=True)
+    def _own_pool(self):
+        # a pool one test broke or left busy never reaches the next test
+        yield
+        if arima._pool is not None:
+            arima._pool[2].shutdown()
+        arima._pool = None
+
     @needs_two_cpus
     def test_pool_matches_main_process_bit_for_bit(self, country_series, monkeypatch):
         jobs = _india_grid_jobs(country_series)
@@ -468,17 +503,40 @@ class TestCellScheduler:
         assert [r.order for r in arima._fit_cells(good)] == [job[1] for job in good]
 
     @needs_two_cpus
-    def test_dead_worker_fails_one_batch_only(self):
+    def test_idle_worker_death_refits_batch_in_main_process(self, monkeypatch, capfd):
         values = sim_ar1(9, n=40)
-        jobs = [(values, ArimaOrder(p, 0, 0), NO_TRANSFORM, 2) for p in range(3)]
+        jobs = [(values, ArimaOrder(p, 0, q), NO_TRANSFORM, 4) for p in range(3) for q in range(3)]
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            in_process = _pickled(arima._fit_cells(jobs))
         arima._fit_cells(jobs)  # the pool is up
+        broken = arima._pool[2]
+        thread_errors = _thread_errors(monkeypatch)
         for child in multiprocessing.active_children():
             os.kill(child.pid, signal.SIGKILL)
-            child.join(timeout=30)
-            assert not child.is_alive()
-        with pytest.raises(BrokenProcessPool):
-            arima._fit_cells(jobs)
-        assert [r.order for r in arima._fit_cells(jobs)] == [job[1] for job in jobs]
+            # the sentinel is ready once the child is gone, whoever reaps it
+            assert multiprocessing.connection.wait([child.sentinel], timeout=30) == [child.sentinel]
+        assert _pickled(arima._fit_cells(jobs)) == in_process
+        assert arima._pool is None
+        assert _pickled(arima._fit_cells(jobs)) == in_process
+        assert arima._pool[2] is not broken  # the next batch forked a new pool
+        assert not thread_errors
+        assert "Exception in thread" not in capfd.readouterr().err
+
+    @needs_two_cpus
+    def test_worker_death_mid_batch_refits_in_main_process(self, monkeypatch, capfd):
+        values = sim_ar1(10, n=40)
+        jobs = [(values, ArimaOrder(p, 0, 0), NO_TRANSFORM, 3) for p in range(4)]
+        # the most coefficients, so a worker takes it first and dies on it
+        jobs.append((_KillsOtherProcesses(values), ArimaOrder(1, 0, 2), NO_TRANSFORM, 3))
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            in_process = _pickled(arima._fit_cells(jobs))
+        thread_errors = _thread_errors(monkeypatch)
+        assert _pickled(arima._fit_cells(jobs)) == in_process
+        assert arima._pool is None
+        assert not thread_errors
+        assert "Exception in thread" not in capfd.readouterr().err
 
     def test_one_cpu_starts_no_process(self, monkeypatch):
         _one_cpu(monkeypatch)

@@ -52,8 +52,11 @@ class TestFetch:
         assert "atlantis" in err and "india" in err and "canada" in err
 
     def test_offline_url_refused(self, tmp_path, capsys):
-        assert run_cli("fetch", "https://example.org/x.csv", "--out", str(tmp_path)) == 1
-        assert "offline" in capsys.readouterr().err
+        # there is no network code: a URL is just a name no dataset has
+        url = "https://example.org/x.csv"
+        assert run_cli("fetch", url, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith(f"fetch: unknown dataset {url!r}; available: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestForecast:
@@ -141,7 +144,7 @@ class TestForecast:
     (["fetch", "india"], "horizon"),
     (["forecast", "india.csv"], "folds"),
     (["risktree", "cfr_countries.csv"], "horizon"),
-    (["eval", "india.csv", "india.csv"], "offline"),
+    (["eval", "india.csv", "india.csv"], "minsplit"),
 ], ids=["fetch", "forecast", "risktree", "eval"])
 def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv, key):
     # a key the command has no flag for would be read by nothing

@@ -6,10 +6,8 @@ import pytest
 from epiforecast import arima, wavelet
 from epiforecast.wavelet import (
     decomposition_level,
-    denoise,
     imodwt,
     modwt,
-    mra_components,
     wbf_fit,
     wbf_forecast,
 )
@@ -68,39 +66,6 @@ class TestTransform:
         for a, b in zip([*dec.details, dec.smooth], [*dec_shifted.details, dec_shifted.smooth]):
             np.testing.assert_allclose(np.roll(a, shift), b, atol=1e-8)
 
-    def test_mra_components_sum_to_input(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=70)
-        parts = mra_components(modwt(x, 4))
-        np.testing.assert_allclose(np.sum(parts, axis=0), x, atol=1e-8)
-
-
-class TestDenoise:
-    def test_drop_zero_is_identity(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=40)
-        dec = modwt(x, 3)
-        np.testing.assert_allclose(denoise(dec, 0), x, atol=1e-8)
-
-    def test_level_one_alternation_removed(self):
-        x = np.full(64, 10.0) + np.tile([1.0, -1.0], 32)
-        dec = modwt(x, 4)
-        np.testing.assert_allclose(denoise(dec, 1), 10.0, atol=1e-6)
-
-    def test_drop_all_leaves_smooth_only(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=32)
-        dec = modwt(x, 3)
-        zeroed = wavelet.ModwtDecomposition(
-            details=tuple(np.zeros(32) for _ in range(3)), smooth=dec.smooth, levels=3
-        )
-        np.testing.assert_allclose(denoise(dec, 3), imodwt(zeroed), atol=1e-12)
-
-    def test_out_of_range_rejected(self):
-        dec = modwt(np.arange(16, dtype=float), 3)
-        with pytest.raises(ValueError, match="drop_levels"):
-            denoise(dec, 4)
-
 
 class TestWbf:
     def test_constant_series_forecast(self):
@@ -151,19 +116,3 @@ class TestWbf:
                 expected.append(arima.fit_arima(sub, arima.ArimaOrder(0, 0, 0)))
         assert fit.fallbacks == fallbacks
         assert [pickle.dumps(f) for f in fit.sub_fits] == [pickle.dumps(f) for f in expected]
-
-
-def test_decomposition_csv_export(tmp_path):
-    import csv as csv_mod
-
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=16)
-    dec = modwt(x, 2)
-    path = tmp_path / "dec.csv"
-    wavelet.write_decomposition_csv(dec, path)
-    with open(path, newline="") as fh:
-        rows = list(csv_mod.DictReader(fh))
-    assert list(rows[0]) == ["detail_1", "detail_2", "smooth"]
-    assert len(rows) == 16
-    col = np.array([float(r["detail_1"]) for r in rows])
-    np.testing.assert_array_equal(col, dec.details[0])
