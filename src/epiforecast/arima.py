@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -406,7 +406,7 @@ def _best_cell(results: list, reject_near_unit_roots: bool) -> ArimaFit:
     return min(candidates, key=lambda c: c[0])[1]
 
 
-# (pid, worker count, executor) of the grid-cell pool, made on first use
+# (pid, executor) of the grid-cell pool, made on first use
 _pool = None
 
 
@@ -420,76 +420,68 @@ def _fit_cell(job):
         return exc
 
 
+@atexit.register
+def _shutdown_pool():
+    """Shut down the pool this process forked, before interpreter teardown
+    would collect the executor after its module is gone and print an error."""
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[1].shutdown()
+
+
 def _cell_pool():
-    """(worker count, executor) for grid cells, or None where the main
-    process must fit every cell itself: one usable CPU, no `fork` start
+    """The grid-cell executor, one worker per usable CPU, or None where the
+    main process must fit every cell itself: one usable CPU, no `fork` start
     method, or a daemonic process, which may not have children."""
     global _pool
     import multiprocessing
 
     # the CPUs this process may run on; macOS has no affinity call
     if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0)) - 1
+        workers = len(os.sched_getaffinity(0))
     else:
-        workers = (os.cpu_count() or 1) - 1
-    if (workers < 1 or multiprocessing.current_process().daemon
+        workers = os.cpu_count() or 1
+    if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
     # a forked child inherits the parent's executor but none of its threads
     if _pool is None or _pool[0] != os.getpid():
-        import atexit
         from concurrent.futures import ProcessPoolExecutor
 
         # fork: workers start at once, with the package already imported
-        executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        # shut down before interpreter teardown, which would otherwise
-        # collect the executor after its module is gone and print an error
-        atexit.register(executor.shutdown)
-        _pool = (os.getpid(), workers, executor)
-    return _pool[1:]
+        _pool = (os.getpid(),
+                 ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")))
+    return _pool[1]
 
 
 def _fit_cells(jobs: list) -> list:
     """`_fit_cell` on every job, spread over the usable CPUs; results in input order.
 
-    The pool of (usable CPUs - 1) workers takes the jobs heaviest first, by
-    coefficient count p + q, then q, and holds at most one job more than it
-    has workers. The main process fits the cheapest job not yet handed out
-    while the pool is full, so no more processes are busy than there are CPUs.
-    If a worker dies, say killed for memory, the pool is dropped and the main
-    process fits every job still without a result; the next batch forks a new
-    pool.
+    The pool takes every job at once, heaviest first by coefficient count
+    p + q, then q, and the main process only collects the results. If a
+    worker dies, say killed for memory, the pool is dropped and the main
+    process fits every job the broken pool left without a result; the next
+    batch forks a new pool.
     """
     global _pool
-    pool = _cell_pool() if len(jobs) > 1 else None
-    if pool is None:
+    executor = _cell_pool() if len(jobs) > 1 else None
+    if executor is None:
         return [_fit_cell(job) for job in jobs]
-    from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    workers, executor = pool
-    todo = deque(sorted(range(len(jobs)), reverse=True,
-                        key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q)))
-    results = [None] * len(jobs)
-    submitted = {}
+    futures = [None] * len(jobs)
     try:
-        while todo or submitted:
-            while todo and len(submitted) <= workers:
-                i = todo.popleft()
-                submitted[executor.submit(_fit_cell, jobs[i])] = i
-            if todo:
-                i = todo.pop()
-                results[i] = _fit_cell(jobs[i])
-            # wait only once the main process has no job left to fit
-            done, _ = wait(submitted, 0 if todo else None, FIRST_COMPLETED)
-            for future in done:
-                results[submitted.pop(future)] = future.result()
+        for i in sorted(range(len(jobs)), reverse=True,
+                        key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q)):
+            futures[i] = executor.submit(_fit_cell, jobs[i])
+        return [future.result() for future in futures]
     except BrokenProcessPool:
+        # shutdown waits for the executor to fail the jobs it held; a job
+        # submitted while it broke can stay pending
         executor.shutdown()
         _pool = None
-        results = [_fit_cell(job) if result is None else result
-                   for job, result in zip(jobs, results)]
-    return results
+    return [_fit_cell(job) if future is None or not future.done()
+            or isinstance(future.exception(), BrokenProcessPool) else future.result()
+            for job, future in zip(jobs, futures)]
 
 
 def _select_d(z: np.ndarray) -> int:

@@ -269,7 +269,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
     parser.add_argument("--out", help="output directory (default: out; eval writes "
                         "eval.json only when given here or in --config)")
-    parser.add_argument("--seed", type=int, help="seed for any cross-validation fold assignment")
 
 
 def main(argv=None) -> int:
@@ -287,6 +286,7 @@ def main(argv=None) -> int:
     p_fc = sub.add_parser("forecast", help="fit the hybrid model and forecast")
     p_fc.add_argument("input", help="series CSV with date,cases columns")
     p_fc.add_argument("--horizon", type=int, help="forecast steps (default 10)")
+    p_fc.add_argument("--seed", type=int, help="no effect: the forecast draws nothing at random")
     _add_common(p_fc)
     p_fc.set_defaults(func=cmd_forecast)
 
@@ -294,6 +294,7 @@ def main(argv=None) -> int:
     p_rt.add_argument("input", help="risk-factor CSV")
     p_rt.add_argument("--minsplit", type=int, help="minimum rows to attempt a split")
     p_rt.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
+    p_rt.add_argument("--seed", type=int, help="seed for the cross-validation fold assignment")
     _add_common(p_rt)
     p_rt.set_defaults(func=cmd_risktree)
 

@@ -382,14 +382,12 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
         return (node.sse - sum(leaf.sse for leaf in leaves)) / (len(leaves) - 1)
 
     def collapse_at_or_below(threshold: float) -> None:
-        # bottom-up so that strengths are evaluated on the already-collapsed tree
-        changed = True
-        while changed:
-            changed = False
-            for node in _postorder(work.root):
-                if not node.is_leaf and link_strength(node) <= threshold:
-                    node.collapse()
-                    changed = True
+        # bottom-up, so each strength is taken on its already-collapsed
+        # subtree; the nodes after it are ancestors or disjoint and leave
+        # that subtree alone, so one pass reaches the fixpoint
+        for node in _postorder(work.root):
+            if not node.is_leaf and link_strength(node) <= threshold:
+                node.collapse()
 
     sequence: list[tuple[float, RegressionTree]] = []
     collapse_at_or_below(0.0)

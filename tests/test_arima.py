@@ -1,6 +1,7 @@
 """Estimation, order selection and forecasting checks against simulation and
 closed-form oracles."""
 
+import atexit
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -439,6 +440,13 @@ class _KillsOtherProcesses:
         return self._values
 
 
+def _kill_workers():
+    for child in multiprocessing.active_children():
+        os.kill(child.pid, signal.SIGKILL)
+        # the sentinel is ready once the child is gone, whoever reaps it
+        assert multiprocessing.connection.wait([child.sentinel], timeout=30) == [child.sentinel]
+
+
 def _select_in_pool_worker(values):
     return select_order(values, max_p=2, max_q=2), arima._cell_pool()
 
@@ -453,15 +461,15 @@ class TestCellScheduler:
         # a pool one test broke or left busy never reaches the next test
         yield
         if arima._pool is not None:
-            arima._pool[2].shutdown()
+            arima._pool[1].shutdown()
         arima._pool = None
 
     @needs_two_cpus
     def test_pool_matches_main_process_bit_for_bit(self, country_series, monkeypatch):
         jobs = _india_grid_jobs(country_series)
         pooled = arima._fit_cells(jobs)
-        workers, _ = arima._cell_pool()
-        assert workers == len(os.sched_getaffinity(0)) - 1
+        # fork starts every worker with the pool: one per usable CPU
+        assert len(multiprocessing.active_children()) == len(os.sched_getaffinity(0))
         with monkeypatch.context() as m:
             _one_cpu(m)
             in_process = arima._fit_cells(jobs)
@@ -510,16 +518,13 @@ class TestCellScheduler:
             _one_cpu(m)
             in_process = _pickled(arima._fit_cells(jobs))
         arima._fit_cells(jobs)  # the pool is up
-        broken = arima._pool[2]
+        broken = arima._pool[1]
         thread_errors = _thread_errors(monkeypatch)
-        for child in multiprocessing.active_children():
-            os.kill(child.pid, signal.SIGKILL)
-            # the sentinel is ready once the child is gone, whoever reaps it
-            assert multiprocessing.connection.wait([child.sentinel], timeout=30) == [child.sentinel]
+        _kill_workers()
         assert _pickled(arima._fit_cells(jobs)) == in_process
         assert arima._pool is None
         assert _pickled(arima._fit_cells(jobs)) == in_process
-        assert arima._pool[2] is not broken  # the next batch forked a new pool
+        assert arima._pool[1] is not broken  # the next batch forked a new pool
         assert not thread_errors
         assert "Exception in thread" not in capfd.readouterr().err
 
@@ -537,6 +542,34 @@ class TestCellScheduler:
         assert arima._pool is None
         assert not thread_errors
         assert "Exception in thread" not in capfd.readouterr().err
+
+    @needs_two_cpus
+    def test_main_process_fits_no_cell_while_pool_is_up(self, monkeypatch):
+        values = sim_ar1(11, n=40)
+        jobs = [(values, ArimaOrder(p, 0, q), NO_TRANSFORM, 4) for p in range(3) for q in range(3)]
+        expected = [r.order for r in arima._fit_cells(jobs)]  # the pool is up
+        assert expected == [job[1] for job in jobs]
+
+        def in_main_process(*args, **kwargs):
+            raise AssertionError("the main process fitted a cell")
+
+        # the forked workers keep the real fit_arima
+        monkeypatch.setattr(arima, "fit_arima", in_main_process)
+        assert [r.order for r in arima._fit_cells(jobs)] == expected
+
+    @needs_two_cpus
+    def test_replaced_pools_register_one_exit_hook(self, monkeypatch):
+        values = sim_ar1(12, n=40)
+        jobs = [(values, ArimaOrder(p, 0, 0), NO_TRANSFORM, 2) for p in range(3)]
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        for _ in range(3):
+            arima._fit_cells(jobs)  # the pool is up
+            _kill_workers()
+            # the main process fits the batch the broken pool dropped
+            assert [r.order for r in arima._fit_cells(jobs)] == [job[1] for job in jobs]
+            assert arima._pool is None
+        assert len(registered) <= 1
 
     def test_one_cpu_starts_no_process(self, monkeypatch):
         _one_cpu(monkeypatch)

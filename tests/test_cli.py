@@ -145,11 +145,13 @@ class TestForecast:
     (["forecast", "india.csv"], "folds"),
     (["risktree", "cfr_countries.csv"], "horizon"),
     (["eval", "india.csv", "india.csv"], "minsplit"),
-], ids=["fetch", "forecast", "risktree", "eval"])
+    (["fetch", "india"], "seed"),
+    (["eval", "india.csv", "india.csv"], "seed"),
+], ids=["fetch", "forecast", "risktree", "eval", "fetch-seed", "eval-seed"])
 def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv, key):
     # a key the command has no flag for would be read by nothing
     config = tmp_path / "run.cfg"
-    config.write_text(f"seed = 1\n{key} = 5\n")
+    config.write_text(f"out = {tmp_path / 'o'}\n{key} = 5\n")
     command, *inputs = argv
     paths = inputs if command == "fetch" else [str(data_dir / name) for name in inputs]
     assert run_cli(command, *paths, "--config", str(config), "--out", str(tmp_path / "o")) == 1
