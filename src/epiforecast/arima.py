@@ -447,9 +447,11 @@ def _cell_pool():
     if _pool is None or _pool[0] != os.getpid():
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork: workers start at once, with the package already imported
+        # fork: workers start at once, with the package already imported;
+        # at the lowest priority, so that they never delay the main process
         _pool = (os.getpid(),
-                 ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")))
+                 ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=os.nice, initargs=(19,)))
     return _pool[1]
 
 

@@ -477,6 +477,13 @@ class TestCellScheduler:
         assert [r.order for r in pooled] == [job[1] for job in jobs]
 
     @needs_two_cpus
+    def test_workers_run_at_lowest_priority(self):
+        executor = arima._cell_pool()
+        # a job runs after the worker's initializer, so it sees its niceness
+        niceness = [executor.submit(os.getpriority, os.PRIO_PROCESS, 0) for _ in range(8)]
+        assert {future.result() for future in niceness} == {19}
+
+    @needs_two_cpus
     def test_failures_keep_grid_order_and_first_message(self, monkeypatch):
         # on seven points every cell with p + q >= 5 is too short
         values = sim_ar1(5, n=7)
