@@ -461,8 +461,7 @@ def _fit_cells(jobs: list) -> list:
     The pool takes every job at once, heaviest first by coefficient count
     p + q, then q, and the main process only collects the results. If a
     worker dies, say killed for memory, the pool is dropped and the main
-    process fits every job the broken pool left without a result; the next
-    batch forks a new pool.
+    process fits the whole batch again; the next batch forks a new pool.
     """
     global _pool
     executor = _cell_pool() if len(jobs) > 1 else None
@@ -470,20 +469,16 @@ def _fit_cells(jobs: list) -> list:
         return [_fit_cell(job) for job in jobs]
     from concurrent.futures.process import BrokenProcessPool
 
-    futures = [None] * len(jobs)
+    heaviest_first = sorted(range(len(jobs)), reverse=True,
+                            key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q))
     try:
-        for i in sorted(range(len(jobs)), reverse=True,
-                        key=lambda i: (jobs[i][1].p + jobs[i][1].q, jobs[i][1].q)):
-            futures[i] = executor.submit(_fit_cell, jobs[i])
-        return [future.result() for future in futures]
+        futures = {i: executor.submit(_fit_cell, jobs[i]) for i in heaviest_first}
+        return [futures[i].result() for i in range(len(jobs))]
     except BrokenProcessPool:
-        # shutdown waits for the executor to fail the jobs it held; a job
-        # submitted while it broke can stay pending
         executor.shutdown()
         _pool = None
-    return [_fit_cell(job) if future is None or not future.done()
-            or isinstance(future.exception(), BrokenProcessPool) else future.result()
-            for job, future in zip(jobs, futures)]
+    # a cell comes out the same wherever it is fitted: refit the whole batch here
+    return [_fit_cell(job) for job in jobs]
 
 
 def _select_d(z: np.ndarray) -> int:

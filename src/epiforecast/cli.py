@@ -8,7 +8,6 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -18,19 +17,18 @@ from . import arima, datasets, hybrid, metrics, svgplot, tree, wavelet
 from .series import load_series_csv
 
 
-@dataclass
-class RunConfig:
-    horizon: int = 10
-    minsplit: int | None = None
-    folds: int = 10
-    seed: int = 0
-    out: str | None = None  # unset: "out", except that eval then writes nothing
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be positive, got {value}")
+    return value
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# every config key, with the type its flag has
+_CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int, "seed": int, "out": str}
 
 
-def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_TYPES)) -> dict:
+def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
     """Flat key=value text; '#' starts a comment. Unknown keys are rejected,
     and so are keys naming an option `command` has no flag for."""
     values = {}
@@ -44,35 +42,28 @@ def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_T
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
             text = text.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             if key not in flags:
                 raise ValueError(f"{path}:{lineno}: option {key!r} does not apply to {command}")
-            if key in ("horizon", "minsplit", "folds", "seed"):
-                values[key] = int(text)
-            else:
-                values[key] = text
+            try:
+                values[key] = _CONFIG_KEYS[key](text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {key} value {text!r}") from exc
     return values
 
 
-def build_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        # the command's parser defines exactly the options it reads
-        flags = {key for key in _CONFIG_TYPES if hasattr(args, key)}
-        for key, value in load_config_file(args.config, args.command, flags).items():
-            setattr(config, key, value)
-    for field in _CONFIG_TYPES:
-        value = getattr(args, field, None)
-        if value is not None:
-            setattr(config, field, value)
-    return config
-
-
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out if config.out is not None else "out")
+def _out_dir(args) -> Path:
+    out = Path(args.out if args.out is not None else "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -80,7 +71,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fetch(args) -> int:
-    config = build_config(args)
     names = datasets.available() + [datasets.CFR_TABLE]
     wanted = names if args.source == "all" else [args.source]
     for name in wanted:
@@ -90,7 +80,7 @@ def cmd_fetch(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    out = _out_dir(config)
+    out = _out_dir(args)
     for name in wanted:
         with resources.as_file(datasets.bundled_path(name)) as src:
             dest = out / f"{name}.csv"
@@ -100,35 +90,31 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    config = build_config(args)
-    out = _out_dir(config)
     path = Path(args.input)
     stem = path.stem
     s = load_series_csv(path)
+    out = _out_dir(args)
 
     fit = hybrid.fit_hybrid(s)
-    parts = hybrid.forecast_components(fit, config.horizon)
+    parts = hybrid.forecast_components(fit, args.horizon)
 
     # standalone wavelet-domain model on the counts, for the comparison table
     wbf_direct = wavelet.wbf_fit(s.values)
-    wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, config.horizon), 0.0)
+    wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, args.horizon), 0.0)
     wbf_direct_fitted = wbf_direct.fitted_values()
 
-    horizon_dates = [s.dates[-1] + (i + 1) * (s.dates[-1] - s.dates[-2]) for i in range(config.horizon)]
+    horizon_dates = [s.dates[-1] + (i + 1) * (s.dates[-1] - s.dates[-2]) for i in range(args.horizon)]
+
+    def dated_rows(*columns):
+        return ([day.isoformat(), *(repr(float(v)) for v in values)]
+                for day, *values in zip(horizon_dates, *columns))
 
     forecast_csv = out / f"{stem}_forecast.csv"
-    with open(forecast_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "arima", "wbf_residual", "hybrid"])
-        for day, a, w, h in zip(horizon_dates, parts.base, parts.residual, parts.final):
-            writer.writerow([day.isoformat(), repr(float(a)), repr(float(w)), repr(float(h))])
-
+    _write_csv(forecast_csv, ["date", "arima", "wbf_residual", "hybrid"],
+               dated_rows(parts.base, parts.residual, parts.final))
     comparison_csv = out / f"{stem}_models.csv"
-    with open(comparison_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "arima", "wbf", "hybrid"])
-        for day, a, w, h in zip(horizon_dates, parts.base, wbf_direct_fc, parts.final):
-            writer.writerow([day.isoformat(), repr(float(a)), repr(float(w)), repr(float(h))])
+    _write_csv(comparison_csv, ["date", "arima", "wbf", "hybrid"],
+               dated_rows(parts.base, wbf_direct_fc, parts.final))
 
     train = {
         "arima": metrics.report(s.values, fit.base_fitted).to_dict(),
@@ -141,7 +127,7 @@ def cmd_forecast(args) -> int:
         {
             "series": stem,
             "n_obs": s.n,
-            "horizon": config.horizon,
+            "horizon": args.horizon,
             "model": fit.to_dict(),
             "training_metrics": train,
         },
@@ -151,12 +137,12 @@ def cmd_forecast(args) -> int:
     nan_head = [float("nan")] * s.n
     plot = svgplot.line_chart(
         [
-            ("actual", list(s.values) + [float("nan")] * config.horizon),
+            ("actual", list(s.values) + [float("nan")] * args.horizon),
             ("hybrid fit", list(fit.fitted_values) + list(parts.final)),
             ("arima", nan_head + list(parts.base)),
             ("wbf", nan_head + list(wbf_direct_fc)),
         ],
-        title=f"{stem}: training fit and {config.horizon}-step forecast",
+        title=f"{stem}: training fit and {args.horizon}-step forecast",
         x_labels=labels,
         vline_at=s.n - 1,
     )
@@ -169,17 +155,16 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_risktree(args) -> int:
-    config = build_config(args)
-    out = _out_dir(config)
     table = datasets.load_cfr_csv(args.input)
-    minsplit = config.minsplit if config.minsplit is not None else tree.default_minsplit(table.n)
+    minsplit = args.minsplit if args.minsplit is not None else tree.default_minsplit(table.n)
     cv = tree.cross_validate(
         table,
         minsplit=minsplit,
         minbucket=max(1, minsplit // 3),
-        folds=config.folds,
-        seed=config.seed,
+        folds=args.folds,
+        seed=args.seed,
     )
+    out = _out_dir(args)
     fitted = cv.tree
     preds = fitted.predict(table.x)
     k = len(fitted.used_variables())
@@ -187,6 +172,9 @@ def cmd_risktree(args) -> int:
 
     tree_json = out / "risktree.json"
     payload = fitted.to_dict()
+    payload["complexity"] = [
+        {"alpha": float(a), "n_leaves": int(nl), "cv_error": err} for a, nl, err, _ in cv.table
+    ]
     payload["cv"] = {
         "alpha": cv.alpha,
         "folds": cv.folds,
@@ -206,11 +194,8 @@ def cmd_risktree(args) -> int:
 
     importance_csv = out / "importance.csv"
     importance = tree.variable_importance(fitted)
-    with open(importance_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "importance_pct"])
-        for name, value in importance.items():
-            writer.writerow([name, repr(round(float(value), 6))])
+    _write_csv(importance_csv, ["variable", "importance_pct"],
+               ([name, repr(round(float(value), 6))] for name, value in importance.items()))
 
     report_json = out / "risktree_report.json"
     _write_json(report_json, {"metrics": payload["metrics"], "n_leaves": fitted.n_leaves(),
@@ -222,7 +207,6 @@ def cmd_risktree(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = build_config(args)
     actual = _read_dated_column(args.actual, value_field="cases")
     predicted = _read_dated_column(args.forecast, value_field=args.column)
     shared = sorted(set(actual) & set(predicted))
@@ -235,8 +219,8 @@ def cmd_eval(args) -> int:
     payload = {"n_dates": len(shared), "first": shared[0], "last": shared[-1],
                "metrics": report.to_dict()}
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if config.out is not None:
-        _write_json(_out_dir(config) / "eval.json", payload)
+    if args.out is not None:
+        _write_json(_out_dir(args) / "eval.json", payload)
     return 0
 
 
@@ -280,33 +264,41 @@ def main(argv=None) -> int:
 
     p_fetch = sub.add_parser("fetch", help="write a bundled dataset as CSV")
     p_fetch.add_argument("source", help="bundled name or 'all'")
-    _add_common(p_fetch)
     p_fetch.set_defaults(func=cmd_fetch)
 
     p_fc = sub.add_parser("forecast", help="fit the hybrid model and forecast")
     p_fc.add_argument("input", help="series CSV with date,cases columns")
-    p_fc.add_argument("--horizon", type=int, help="forecast steps (default 10)")
-    p_fc.add_argument("--seed", type=int, help="no effect: the forecast draws nothing at random")
-    _add_common(p_fc)
+    p_fc.add_argument("--horizon", type=positive_int, default=10,
+                      help="forecast steps (default: %(default)s)")
     p_fc.set_defaults(func=cmd_forecast)
 
     p_rt = sub.add_parser("risktree", help="build the cross-validated risk tree")
     p_rt.add_argument("input", help="risk-factor CSV")
-    p_rt.add_argument("--minsplit", type=int, help="minimum rows to attempt a split")
-    p_rt.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-    p_rt.add_argument("--seed", type=int, help="seed for the cross-validation fold assignment")
-    _add_common(p_rt)
+    p_rt.add_argument("--minsplit", type=int,
+                      help="minimum rows to attempt a split (default: chosen from the table size)")
+    p_rt.add_argument("--folds", type=int, default=10,
+                      help="cross-validation folds (default: %(default)s)")
     p_rt.set_defaults(func=cmd_risktree)
 
     p_ev = sub.add_parser("eval", help="score a forecast CSV against actuals")
     p_ev.add_argument("actual", help="actual series CSV (date,cases)")
     p_ev.add_argument("forecast", help="forecast CSV (date,... columns)")
     p_ev.add_argument("--column", default="hybrid", help="forecast column to score")
-    _add_common(p_ev)
     p_ev.set_defaults(func=cmd_eval)
+
+    for p, effect in ((p_fc, "no effect: the forecast draws nothing at random"),
+                      (p_rt, "seed for the cross-validation fold assignment")):
+        p.add_argument("--seed", type=int, default=0, help=effect + " (default: %(default)s)")
+    for p in (p_fetch, p_fc, p_rt, p_ev):
+        _add_common(p)
 
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config values become the command's defaults; flags parsed again win
+            flags = _CONFIG_KEYS.keys() & vars(args).keys()
+            sub.choices[args.command].set_defaults(**load_config_file(args.config, args.command, flags))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, arima.ConvergenceError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ cross-validated size selection and variable importance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class RegressionTree:
     table: Table
     minsplit: int
     minbucket: int
-    complexity: list = field(default_factory=list)
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes() if n.is_leaf]
@@ -179,7 +178,6 @@ class RegressionTree:
             table=self.table,
             minsplit=self.minsplit,
             minbucket=self.minbucket,
-            complexity=list(self.complexity),
         )
 
     def to_dict(self) -> dict:
@@ -202,10 +200,6 @@ class RegressionTree:
             "minbucket": self.minbucket,
             "n_leaves": self.n_leaves(),
             "root": node_dict(self.root),
-            "complexity": [
-                {"alpha": float(a), "n_leaves": int(size), "cv_error": cv}
-                for a, size, cv in self.complexity
-            ],
         }
 
 
@@ -475,15 +469,9 @@ def cross_validate(
     for i in range(len(eval_alphas)):
         if cv_mean[i] <= cutoff:
             chosen = max(chosen, i)
-    alpha = alphas[chosen]
-    optimal = sequence[chosen][1].clone()
-    optimal.complexity = [
-        (alphas[i], sequence[i][1].n_leaves(), float(cv_mean[i]))
-        for i in range(len(sequence))
-    ]
     return CrossValidation(
-        alpha=alpha,
-        tree=optimal,
+        alpha=alphas[chosen],
+        tree=sequence[chosen][1],
         table=[
             (alphas[i], sequence[i][1].n_leaves(), float(cv_mean[i]), float(cv_se[i]))
             for i in range(len(sequence))

@@ -22,6 +22,10 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _must_not_fit(*args, **kwargs):
+    raise AssertionError("fitted before the options were checked")
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -117,6 +121,25 @@ class TestForecast:
         ) == 0
         assert len(read_csv(out / "india_forecast.csv")) == 4
 
+    def test_zero_horizon_flag_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
+        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("forecast", str(data_dir / "india.csv"), "--horizon", "0", "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument --horizon: invalid positive_int value: '0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_horizon_config_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
+        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        config = tmp_path / "run.cfg"
+        config.write_text("# no empty forecasts\nhorizon = 0\n")
+        out = tmp_path / "o"
+        assert run_cli("forecast", str(data_dir / "india.csv"), "--config", str(config),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"forecast: {config}:2: bad horizon value '0'\n"
+        assert not out.exists()
+
     def test_bad_config_key_rejected(self, tmp_path, data_dir, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("horizons = 4\n")
@@ -138,6 +161,7 @@ class TestForecast:
         path = tmp_path / "bad.csv"
         path.write_text("date,cases\n2020-03-01,xyz\n")
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -157,6 +181,24 @@ def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv
     assert run_cli(command, *paths, "--config", str(config), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == (
         f"{command}: {config}:2: option '{key}' does not apply to {command}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, line", [
+    ("forecast", "horizon = abc"),
+    ("forecast", "seed = 1.5"),
+    ("risktree", "minsplit = five"),
+    ("risktree", "folds ="),
+    ("risktree", "seed = 0x10"),
+])
+def test_non_integer_config_value_names_file_and_line(tmp_path, data_dir, monkeypatch, capsys, command, line):
+    monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {tmp_path / 'o'}\n{line}\n")
+    key, _, text = (part.strip() for part in line.partition("="))
+    table = "india.csv" if command == "forecast" else "cfr_countries.csv"
+    assert run_cli(command, str(data_dir / table), "--config", str(config)) == 1
+    assert capsys.readouterr().err == f"{command}: {config}:2: bad {key} value {text!r}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -234,6 +276,32 @@ class TestRisktree:
         payload = json.loads((out / "risktree.json").read_text())
         assert payload["n_leaves"] == 1
 
+    @pytest.mark.parametrize("key, where", [
+        ("minsplit", ("minsplit",)), ("folds", ("cv", "folds")), ("seed", ("cv", "seed")),
+    ])
+    def test_config_key_then_flag_override(self, tmp_path, data_dir, key, where):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = 7\n")
+        table = str(data_dir / "cfr_countries.csv")
+        for extra, expected in (([], 7), ([f"--{key}", "4"], 4)):
+            out = tmp_path / f"rt{expected}"
+            assert run_cli("risktree", table, "--config", str(config), *extra, "--out", str(out)) == 0
+            value = json.loads((out / "risktree.json").read_text())
+            for part in where:
+                value = value[part]
+            assert value == expected
+
+    def test_config_run_equals_flag_run(self, tmp_path, data_dir):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"minsplit = 6\nfolds = 5\nseed = 3\nout = {tmp_path / 'cfg'}\n")
+        table = str(data_dir / "cfr_countries.csv")
+        assert run_cli("risktree", table, "--config", str(config)) == 0
+        assert run_cli("risktree", table, "--minsplit", "6", "--folds", "5", "--seed", "3",
+                       "--out", str(tmp_path / "flags")) == 0
+        runs = [{p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+                for name in ("cfg", "flags")]
+        assert len(runs[0]) == 4 and runs[0] == runs[1]
+
     def test_schema_mismatch_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
         path.write_text("country,total_cases_thousands,cfr\nx,1.0,0.02\n")
@@ -241,6 +309,18 @@ class TestRisktree:
         err = capsys.readouterr().err
         assert "missing required columns" in err
         assert "population_millions" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--folds", "1", "folds must be in 2..50, got 1"),
+        ("--minsplit", "0", "minsplit (0) must be at least twice minbucket (1)"),
+    ])
+    def test_bad_tree_option_writes_nothing(self, tmp_path, data_dir, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert run_cli("risktree", str(data_dir / "cfr_countries.csv"), flag, value,
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"risktree: {message}\n"
+        assert not out.exists()
 
 
 class TestEval:
