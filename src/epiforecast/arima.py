@@ -6,6 +6,7 @@ import atexit
 import math
 import os
 from dataclasses import dataclass, field
+from operator import add, neg
 
 import numpy as np
 from scipy.signal import lfilter
@@ -142,50 +143,92 @@ def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
     otherwise a positive penalty that grows with the excess.
 
     `coeffs` is a list of floats. A step-down maps S = sum|c| to at most
-    (S - |k|) / (1 - |k|) <= S, so every remaining reflection coefficient is
-    bounded by S: once S <= 0.99 the answer is 0 without further steps.
+    (S - |k|) / (1 - |k|) <= S, so every reflection coefficient is bounded
+    by S: `_objective` skips the check when S <= 0.99, where it returns 0.
     """
     a = coeffs
     while a and a[-1] == 0.0:
         a = a[:-1]
-    for i in range(len(a), 0, -1):
-        if sum(map(abs, a)) <= 0.99:
-            return 0.0
-        k = a[i - 1]
-        if not math.isfinite(k):
-            return 1e6
-        if abs(k) >= limit:
-            return abs(k) - limit + 1e-9
-        denom = 1.0 - k * k
-        a = [(a[j] + k * a[i - 2 - j]) / denom for j in range(i - 1)]
+    n = len(a)
+    while n:
+        n -= 1
+        k = a[n]
+        if not abs(k) < limit:
+            return abs(k) - limit + 1e-9 if math.isfinite(k) else 1e6
+        if n:
+            denom = 1.0 - k * k
+            a = [(a[j] + k * a[n - 1 - j]) / denom for j in range(n)]
     return 0.0
+
+
+def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int = 0):
+    """The AR step's operands for w from column `start` on: (coef, rows, where, out).
+
+    `rows` stacks w, a row of ones if `use_intercept`, and w lagged by 1..p;
+    `where` is False where a lag reaches back before t = 0 (True if nowhere).
+    With coef[1:, 0] = ([intercept], phi), `np.multiply(coef, rows, out,
+    where=where)` and then `np.subtract.reduce(out)` subtract one term at a
+    time, left to right. Masked entries of `out` stay +0.0, and subtracting
+    +0.0 changes nothing, not even the sign of a zero.
+    """
+    first_lag = 1 + int(use_intercept)
+    rows = np.zeros((first_lag + p, len(w)))
+    where = np.ones(rows.shape, dtype=bool)
+    rows[0] = w
+    rows[1:first_lag] = 1.0
+    for i in range(1, p + 1):
+        rows[first_lag + i - 1, i:] = w[:-i]
+        where[first_lag + i - 1, :i] = False
+    rows = rows[:, start:].copy()
+    where = where[:, start:].copy()
+    if where.all():
+        where = True
+    return np.ones((len(rows), 1)), rows, where, np.zeros(rows.shape)
 
 
 def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
-    u = w - intercept
-    for i in range(1, len(phi) + 1):
-        tail = u[i:]
-        tail -= phi[i - 1] * w[:-i]  # in place; `u[i:] -=` would copy it back
+    coef, rows, where, out = _ar_terms(w, len(phi), True)
+    coef[1:, 0] = [intercept, *phi]
+    np.multiply(coef, rows, out, where=where)
+    u = np.subtract.reduce(out)
     if len(theta):
-        u = lfilter(_ONE, np.array([1.0] + [-t for t in theta]), u)
+        u = lfilter(_ONE, np.array([1.0, *map(neg, theta)]), u)
     return u
 
 
-def _objective(
-    params: np.ndarray, w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int
-) -> float:
-    values = params.tolist()
-    intercept = values[0] if use_intercept else 0.0
-    idx = int(use_intercept)
-    phi = values[idx : idx + p]
-    theta = values[idx + p :]
+def _objective_args(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int) -> tuple:
+    """The `args` of `_objective` for one (p, q) cell, built once per fit.
+
+    Without an MA part only the scored residuals, from `n_cond` on, are
+    computed; an MA filter needs them all and drops the first `n_cond`.
+    """
+    start = 0 if q else n_cond
+    ar = _ar_terms(w, p, use_intercept, start) if p else (None,) * 4
+    return (p, q, n_cond - start, w[start:], *ar)
+
+
+def _objective(params: list, p: int, q: int, skip: int, w, coef, rows, where, out) -> float:
+    """log CSS at `params` = ([intercept], phi_1..phi_p, theta_1..theta_q),
+    plus a barrier outside the invertible, stationary region; the rest are
+    the `_objective_args`."""
+    k = len(params) - q
     violation = 0.0
     if p:
-        violation = _stability_violation(phi)
+        phi = params[k - p : k]
+        if not sum(map(abs, phi)) <= 0.99:
+            violation = _stability_violation(phi)
+        coef[1:, 0] = params[:k]
+        np.multiply(coef, rows, out, where=where)
+        eps = np.subtract.reduce(out)
+    else:
+        # no AR term: w - intercept, or w itself, which the MA filter only reads
+        eps = w - params[0] if k else w
     if q:
-        violation += _stability_violation(theta)
-    eps = _css_residuals(w, phi, theta, intercept)[n_cond:]
+        theta = params[k:]
+        if not sum(map(abs, theta)) <= 0.99:
+            violation += _stability_violation(theta)
+        eps = lfilter(_ONE, np.array([1.0, *map(neg, theta)]), eps)[skip:]
     sse = float(np.dot(eps, eps))
     if violation > 0.0:
         sse = sse * (1.0 + 100.0 * violation) + violation
@@ -201,31 +244,45 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
     coefficients rho=1, chi=2, psi=0.5, sigma=0.5 are folded into the
     literals (multiplying by 1 is exact). Success means the xatol/fatol test
     passed before `maxiter` iterations.
+
+    Vertices are lists of floats and `func` receives them as lists: on at
+    most a dozen coordinates, numpy calls cost more than the arithmetic.
+    Each sum runs row by row from the first row, as numpy's reduction does,
+    so that signed zeros match. The re-sort stays `np.argsort`: it is not
+    stable on ties, and no Python sort reproduces its order.
     """
     N = len(x0)
-    sim = np.tile(x0, (N + 1, 1))
+    x0 = x0.tolist()
+    sim = [x0]
     for k in range(N):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x, *args) for x in sim])
-    ind = fsim.argsort()
-    sim = sim.take(ind, 0)
-    fsim = fsim.take(ind, 0)
+        vertex = list(x0)
+        vertex[k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [func(x, *args) for x in sim]
     # SciPy sorts a second time here; argsort need not be stable, so a
     # second pass may reorder ties and stays for bit-identical results
-    ind = fsim.argsort()
-    fsim = fsim.take(ind, 0)
-    sim = sim.take(ind, 0)
+    for _ in range(2):
+        ind = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
 
     iterations = 1
     while iterations < maxiter:
-        if (np.abs(sim[1:] - sim[0]).max() <= 1e-4
-                and np.abs(fsim[0] - fsim[1:]).max() <= 1e-8):
+        best = sim[0]
+        # fsim is sorted, NaN last, so fsim[-1] - fsim[0] is the largest
+        # |fsim[0] - fsim[j]|, and NaN fails the test as numpy's max does
+        if (fsim[-1] - fsim[0] <= 1e-8
+                and all(abs(v - b) <= 1e-4 for x in sim[1:] for v, b in zip(x, best))):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = 2.0 * xbar - sim[-1]
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = list(map(add, xbar, x))
+        xbar = [v / N for v in xbar]
+        worst = sim[-1]
+        xr = [2.0 * b - v for b, v in zip(xbar, worst)]
         fxr = func(xr, *args)
         if fxr < fsim[0]:
-            xe = 3.0 * xbar - 2.0 * sim[-1]
+            xe = [3.0 * b - 2.0 * v for b, v in zip(xbar, worst)]
             fxe = func(xe, *args)
             if fxe < fxr:
                 sim[-1] = xe
@@ -239,7 +296,7 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
         else:
             if fxr < fsim[-1]:
                 # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = [1.5 * b - 0.5 * v for b, v in zip(xbar, worst)]
                 fxc = func(xc, *args)
                 doshrink = not fxc <= fxr
                 if not doshrink:
@@ -247,7 +304,7 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
                     fsim[-1] = fxc
             else:
                 # inside contraction
-                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                xcc = [0.5 * b + 0.5 * v for b, v in zip(xbar, worst)]
                 fxcc = func(xcc, *args)
                 doshrink = not fxcc < fsim[-1]
                 if not doshrink:
@@ -255,13 +312,13 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
                     fsim[-1] = fxcc
             if doshrink:
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                     fsim[j] = func(sim[j], *args)
         iterations += 1
-        ind = fsim.argsort()
-        sim = sim.take(ind, 0)
-        fsim = fsim.take(ind, 0)
-    return sim[0], fsim.min(), iterations < maxiter
+        ind = np.array(fsim).argsort().tolist()
+        sim = [sim[i] for i in ind]
+        fsim = [fsim[i] for i in ind]
+    return np.array(sim[0]), np.min(fsim), iterations < maxiter
 
 
 def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
@@ -273,7 +330,7 @@ def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
         intercept = float(w[0]) if use_intercept else 0.0
         return np.zeros(p), np.zeros(q), intercept, True
 
-    args = (w, p, q, use_intercept, n_cond)
+    args = _objective_args(w, p, q, use_intercept, n_cond)
     budget = 150 + 100 * nparams
     # probe points far outside the stationary region overflow the residual
     # recursion; the objective is meant to be inf or nan there

@@ -24,8 +24,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def directory(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
 # every config key, with the type its flag has
-_CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int, "seed": int, "out": str}
+_CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int, "seed": int,
+                "out": directory}
 
 
 def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
@@ -251,7 +258,7 @@ def _read_dated_column(path, value_field: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--out", help="output directory (default: out; eval writes "
+    parser.add_argument("--out", type=directory, help="output directory (default: out; eval writes "
                         "eval.json only when given here or in --config)")
 
 

@@ -289,7 +289,8 @@ class TestSimplexParity:
         args = (w, 2, 1, True, 5)
         for maxiter in (12, 550):  # exhausted, then converged
             ref = _ref_minimize(x0, args, maxiter)
-            x, fun, success = arima._nelder_mead(arima._objective, x0, args, maxiter)
+            x, fun, success = arima._nelder_mead(arima._objective, x0,
+                                                 arima._objective_args(*args), maxiter)
             assert x.tobytes() == ref.x.tobytes()
             assert float(fun).hex() == float(ref.fun).hex()
             assert success == ref.success == (maxiter == 550)
@@ -315,6 +316,85 @@ class TestSimplexParity:
             expected = _ref_stability_violation(values)
             assert arima._stability_violation(values) == expected, values
             assert values == snapshot  # the argument is left untouched
+
+    @staticmethod
+    def _random_cases(rng, count):
+        """(w, phi, theta, intercept) with signed zeros in w, negative and
+        non-finite coefficients, p, q <= 5 and n in {20, 64, 990}."""
+        special = [np.inf, -np.inf, np.nan, -0.0, 0.0]
+        for _ in range(count):
+            n = int(rng.choice([20, 64, 990]))
+            p, q = (int(v) for v in rng.integers(0, 6, 2))
+            w = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+            w[rng.random(n) < 0.2] = -0.0
+            w[rng.random(n) < 0.05] = 0.0
+            phi = rng.uniform(-1.2, 1.2, p)
+            theta = rng.uniform(-1.2, 1.2, q)
+            intercept = float(rng.choice([0.0, -0.0, rng.normal()]))
+            if rng.random() < 0.2:
+                coeffs = np.concatenate([[intercept], phi, theta])
+                coeffs[rng.integers(0, len(coeffs))] = rng.choice(special)
+                intercept, phi, theta = float(coeffs[0]), coeffs[1 : 1 + p], coeffs[1 + p :]
+            yield w, phi, theta, intercept
+
+    def test_css_residuals_match_reference(self):
+        rng = np.random.default_rng(7)
+        with np.errstate(all="ignore"):
+            for w, phi, theta, intercept in self._random_cases(rng, 600):
+                expected = _ref_css_residuals(w, phi, theta, intercept)
+                got = arima._css_residuals(w, phi, theta, intercept)
+                assert got.tobytes() == expected.tobytes(), (len(w), phi, theta, intercept)
+
+    def test_objective_matches_reference(self):
+        rng = np.random.default_rng(8)
+        with np.errstate(all="ignore"):
+            for w, phi, theta, intercept in self._random_cases(rng, 600):
+                p, q = len(phi), len(theta)
+                use_intercept = bool(rng.random() < 0.5)
+                params = np.concatenate([[intercept] if use_intercept else [], phi, theta])
+                if len(params) == 0:
+                    continue
+                args = (w, p, q, use_intercept, int(rng.integers(p, p + 3)))
+                expected = _ref_objective(params, *args)
+                got = arima._objective(params.tolist(), *arima._objective_args(*args))
+                assert float(got).hex() == float(expected).hex(), (args[1:], params)
+
+    @pytest.mark.parametrize("name", ["plateaus", "non_finite"])
+    def test_ties_and_non_finite_values_match_minimize(self, name):
+        def plateaus(x):
+            # piecewise constant: vertices tie in runs, which argsort need not
+            # keep in order
+            return float(np.floor(16.0 * np.sum((np.asarray(x) - 0.3) ** 2)))
+
+        def non_finite(x):
+            # NaN below the diagonal x[1] < x[0], so that NaN vertices survive
+            # a shrink toward a best vertex on it, and inf beyond x[0] = 1.5;
+            # flat in the last coordinate, which may start at +-inf
+            x = np.asarray(x)
+            if len(x) > 1 and x[1] < x[0]:
+                return math.nan
+            if x[0] > 1.5:
+                return math.inf
+            return float(np.floor(8.0 * np.sum((x[:-1] - 0.7) ** 2)))
+
+        func = {"plateaus": plateaus, "non_finite": non_finite}[name]
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            if rng.random() < 0.5:
+                x0 = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 1.25], n)
+            else:
+                x0 = rng.uniform(-1.0, 2.0, n)
+            if name == "non_finite" and rng.random() < 0.3:
+                x0[-1] = rng.choice([np.inf, -np.inf])
+            maxiter = int(rng.choice([5, 30, 400]))
+            with np.errstate(all="ignore"):
+                ref = minimize(func, x0, method="Nelder-Mead",
+                               options={"maxiter": maxiter, "xatol": 1e-4, "fatol": 1e-8})
+                x, fun, success = arima._nelder_mead(func, x0, (), maxiter)
+            assert x.tobytes() == ref.x.tobytes(), (x0, maxiter)
+            assert float(fun).hex() == float(ref.fun).hex(), (x0, maxiter)
+            assert success == ref.success, (x0, maxiter)
 
 
 class TestProbeWarnings:

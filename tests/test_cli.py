@@ -184,6 +184,28 @@ def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["fetch", "india"], ["forecast", "india.csv"],
+                                  ["risktree", "cfr_countries.csv"], ["eval", "india.csv", "india.csv"]],
+                         ids=["fetch", "forecast", "risktree", "eval"])
+def test_empty_out_rejected(tmp_path, data_dir, monkeypatch, capsys, argv):
+    # an empty directory name would write into the current directory
+    monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+    command, *inputs = argv
+    paths = inputs if command == "fetch" else [str(data_dir / name) for name in inputs]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *paths, "--out", "")
+    assert exc.value.code == 2
+    assert "argument --out: invalid directory value: ''" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("# where to write\nout =\n")
+    assert run_cli(command, *paths, "--config", str(config)) == 1
+    assert capsys.readouterr().err == f"{command}: {config}:2: bad out value ''\n"
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, line", [
     ("forecast", "horizon = abc"),
     ("forecast", "seed = 1.5"),
