@@ -100,7 +100,6 @@ def cmd_forecast(args) -> int:
     path = Path(args.input)
     stem = path.stem
     s = load_series_csv(path)
-    out = _out_dir(args)
 
     fit = hybrid.fit_hybrid(s)
     parts = hybrid.forecast_components(fit, args.horizon)
@@ -109,6 +108,8 @@ def cmd_forecast(args) -> int:
     wbf_direct = wavelet.wbf_fit(s.values)
     wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, args.horizon), 0.0)
     wbf_direct_fitted = wbf_direct.fitted_values()
+    # only once both fits succeed, so that a failed forecast leaves no directory
+    out = _out_dir(args)
 
     horizon_dates = [s.dates[-1] + (i + 1) * (s.dates[-1] - s.dates[-2]) for i in range(args.horizon)]
 

@@ -4,7 +4,7 @@ cross-validated size selection and variable importance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class SplitRule:
         return f"{names[self.var]} in {{{levels}}}"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TreeNode:
     rows: np.ndarray
     count: int
@@ -99,26 +99,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.rule is None
-
-    def collapse(self) -> None:
-        self.rule = None
-        self.improvement = 0.0
-        self.left = None
-        self.right = None
-
-    def clone(self) -> "TreeNode":
-        node = TreeNode(
-            rows=self.rows,
-            count=self.count,
-            mean=self.mean,
-            sse=self.sse,
-            rule=self.rule,
-            improvement=self.improvement,
-        )
-        if not self.is_leaf:
-            node.left = self.left.clone()
-            node.right = self.right.clone()
-        return node
 
 
 @dataclass
@@ -171,14 +151,6 @@ class RegressionTree:
     def leaf_signature(self) -> frozenset:
         """Partition of the training rows into leaves, for structural comparison."""
         return frozenset(frozenset(leaf.rows.tolist()) for leaf in self.leaves())
-
-    def clone(self) -> "RegressionTree":
-        return RegressionTree(
-            root=self.root.clone(),
-            table=self.table,
-            minsplit=self.minsplit,
-            minbucket=self.minbucket,
-        )
 
     def to_dict(self) -> dict:
         def node_dict(node: TreeNode) -> dict:
@@ -344,19 +316,15 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
 
     def build(rows: np.ndarray) -> TreeNode:
         y = table.y[rows]
-        node = TreeNode(rows=rows, count=len(rows), mean=float(y.mean()), sse=_sse(y))
-        if len(rows) < minsplit:
-            return node
-        found = best_split(table, rows, minbucket)
+        mean, sse = float(y.mean()), _sse(y)
+        found = best_split(table, rows, minbucket) if len(rows) >= minsplit else None
         if found is None:
-            return node
+            return TreeNode(rows, len(rows), mean, sse)
         rule, reduction = found
         mask = rule.mask(table.x[rows, rule.var])
-        node.rule = rule
-        node.improvement = reduction
-        node.left = build(rows[mask])
-        node.right = build(rows[~mask])
-        return node
+        # arguments run left to right: the left subtree grows first
+        return TreeNode(rows, len(rows), mean, sse, rule, reduction,
+                        build(rows[mask]), build(rows[~mask]))
 
     root = build(np.arange(table.n))
     return RegressionTree(root=root, table=table, minsplit=minsplit, minbucket=minbucket)
@@ -367,49 +335,45 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
 
     Returns the nested sequence [(alpha_0=0, T_0), ..., (alpha_K, root-only)]
     where T_0 already drops any zero-gain splits, each T_{k+1} collapses the
-    weakest links of T_k, and alphas increase strictly.
+    weakest links of T_k, and alphas increase strictly. Each tree is built
+    from the previous one and shares its unchanged subtrees; the input tree
+    is left as it is.
     """
-    work = tree.clone()
 
-    def link_strength(node: TreeNode) -> float:
-        leaves = [n for n in _preorder(node) if n.is_leaf]
-        return (node.sse - sum(leaf.sse for leaf in leaves)) / (len(leaves) - 1)
+    def prune(node: TreeNode, threshold: float) -> tuple[TreeNode, list[float], float]:
+        """The subtree with every link no stronger than `threshold` collapsed,
+        bottom up; its leaf SSEs in preorder; its weakest remaining link."""
+        if node.is_leaf:
+            return node, [node.sse], math.inf
+        left, left_sses, left_weakest = prune(node.left, threshold)
+        right, right_sses, right_weakest = prune(node.right, threshold)
+        leaf_sses = left_sses + right_sses
+        strength = (node.sse - sum(leaf_sses)) / (len(leaf_sses) - 1)
+        # a NaN strength collapses too, so the loop below always ends
+        if not strength > threshold:
+            return TreeNode(node.rows, node.count, node.mean, node.sse), [node.sse], math.inf
+        if left is not node.left or right is not node.right:
+            node = replace(node, left=left, right=right)
+        return node, leaf_sses, min(strength, left_weakest, right_weakest)
 
-    def collapse_at_or_below(threshold: float) -> None:
-        # bottom-up, so each strength is taken on its already-collapsed
-        # subtree; the nodes after it are ancestors or disjoint and leave
-        # that subtree alone, so one pass reaches the fixpoint
-        for node in _postorder(work.root):
-            if not node.is_leaf and link_strength(node) <= threshold:
-                node.collapse()
-
-    sequence: list[tuple[float, RegressionTree]] = []
-    collapse_at_or_below(0.0)
-    sequence.append((0.0, work.clone()))
-    while not work.root.is_leaf:
-        alpha = min(link_strength(n) for n in _preorder(work.root) if not n.is_leaf)
-        collapse_at_or_below(alpha)
-        if alpha <= sequence[-1][0]:
-            sequence[-1] = (sequence[-1][0], work.clone())
-        else:
-            sequence.append((alpha, work.clone()))
+    # a link that survives a pass is stronger than its threshold and its
+    # subtree never changes again, so the next alpha is strictly greater
+    root, _, alpha = prune(tree.root, 0.0)
+    sequence = [(0.0, replace(tree, root=root))]
+    while not root.is_leaf:
+        root, _, next_alpha = prune(root, alpha)
+        sequence.append((alpha, replace(tree, root=root)))
+        alpha = next_alpha
     return sequence
 
 
 def _preorder(node: TreeNode):
     """The subtree's nodes, each before its left then its right subtree; sums
-    over them in pruning and importance depend on this order."""
+    over them, in `training_sse` and importance, depend on this order."""
     yield node
     if not node.is_leaf:
         yield from _preorder(node.left)
         yield from _preorder(node.right)
-
-
-def _postorder(node: TreeNode):
-    if not node.is_leaf:
-        yield from _postorder(node.left)
-        yield from _postorder(node.right)
-    yield node
 
 
 @dataclass

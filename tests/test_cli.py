@@ -163,6 +163,16 @@ class TestForecast:
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_failed_fit_leaves_no_output_directory(self, tmp_path, capsys):
+        # 12 rows load (the minimum is 8) but are too few for the hybrid fit
+        path = tmp_path / "short.csv"
+        start = dt.date(2020, 3, 1)
+        path.write_text("date,cases\n" + "".join(
+            f"{start + dt.timedelta(days=i)},{5 + 3 * i}\n" for i in range(12)))
+        assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+        assert "hybrid fitting needs at least 20 observations" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("argv, key", [
     (["fetch", "india"], "horizon"),

@@ -131,6 +131,68 @@ def oracle_optimal_subtree(candidates, alpha):
     return min(candidates, key=lambda c: (c[1] + alpha * c[2], c[2]))
 
 
+def reference_prune_sequence(fitted):
+    """Weakest-link pruning as the mutable-node implementation did it: a full
+    preorder walk for every link strength and a postorder collapsing pass per
+    alpha. Collapsed nodes are tracked by id, so `fitted` is not changed;
+    returns (alpha, `to_dict()` of the pruned tree) per step."""
+    collapsed = set()
+
+    def is_leaf(node):
+        return node.is_leaf or id(node) in collapsed
+
+    def preorder(node):
+        yield node
+        if not is_leaf(node):
+            yield from preorder(node.left)
+            yield from preorder(node.right)
+
+    def postorder(node):
+        if not is_leaf(node):
+            yield from postorder(node.left)
+            yield from postorder(node.right)
+        yield node
+
+    def link_strength(node):
+        leaves = [n for n in preorder(node) if is_leaf(n)]
+        return (node.sse - sum(leaf.sse for leaf in leaves)) / (len(leaves) - 1)
+
+    def collapse_at_or_below(threshold):
+        for node in postorder(fitted.root):
+            if not is_leaf(node) and link_strength(node) <= threshold:
+                collapsed.add(id(node))
+
+    def snapshot():
+        def copy(node):
+            if is_leaf(node):
+                return TreeNode(node.rows, node.count, node.mean, node.sse)
+            return TreeNode(node.rows, node.count, node.mean, node.sse, node.rule,
+                            node.improvement, copy(node.left), copy(node.right))
+
+        root = copy(fitted.root)
+        return tree.RegressionTree(root, fitted.table, fitted.minsplit, fitted.minbucket).to_dict()
+
+    collapse_at_or_below(0.0)
+    sequence = [(0.0, snapshot())]
+    while not is_leaf(fitted.root):
+        alpha = min(link_strength(n) for n in preorder(fitted.root) if not is_leaf(n))
+        collapse_at_or_below(alpha)
+        if alpha <= sequence[-1][0]:
+            sequence[-1] = (sequence[-1][0], snapshot())
+        else:
+            sequence.append((alpha, snapshot()))
+    return sequence
+
+
+def assert_prunes_like_reference(fitted):
+    before = fitted.to_dict()
+    expected = reference_prune_sequence(fitted)
+    got = prune_sequence(fitted)
+    assert [a.hex() for a, _ in got] == [a.hex() for a, _ in expected]
+    assert [t.to_dict() for _, t in got] == [d for _, d in expected]
+    assert fitted.to_dict() == before
+
+
 def oracle_route(fitted, row):
     """Leaf mean for one record, routed one value at a time as per-row
     `SplitRule.goes_left` calls did."""
@@ -355,11 +417,12 @@ class TestPrune:
         # hand-built depth-1 tree whose split does not reduce error
         y = np.array([1.0, 1.0, 1.0, 1.0])
         rows = np.arange(4)
-        root = TreeNode(rows=rows, count=4, mean=1.0, sse=0.0)
-        root.rule = SplitRule(var=0, threshold=1.5)
-        root.improvement = 0.0
-        root.left = TreeNode(rows=rows[:2], count=2, mean=1.0, sse=0.0)
-        root.right = TreeNode(rows=rows[2:], count=2, mean=1.0, sse=0.0)
+        root = TreeNode(
+            rows=rows, count=4, mean=1.0, sse=0.0,
+            rule=SplitRule(var=0, threshold=1.5), improvement=0.0,
+            left=TreeNode(rows=rows[:2], count=2, mean=1.0, sse=0.0),
+            right=TreeNode(rows=rows[2:], count=2, mean=1.0, sse=0.0),
+        )
         tbl = table_from_arrays(np.arange(4.0)[:, None], y)
         fitted = tree.RegressionTree(root=root, table=tbl, minsplit=2, minbucket=1)
         sequence = prune_sequence(fitted)
@@ -380,6 +443,60 @@ class TestPrune:
             for leaf in small.leaves():
                 rows = frozenset(leaf.rows.tolist())
                 assert all(b <= rows or not (b & rows) for b in big_leaves)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_bit_identical_to_reference_on_hard_tables(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(300):
+            tbl = hard_table(rng)
+            minbucket = int(rng.integers(1, 4))
+            try:
+                fitted = grow(tbl, minsplit=2 * minbucket, minbucket=minbucket)
+            except ValueError as exc:
+                # a split on a column holding NaN cannot route its rows
+                assert "missing value" in str(exc)
+                continue
+            assert_prunes_like_reference(fitted)
+            checked += 1
+        assert checked >= 150
+
+    def test_bit_identical_to_reference_on_random_tables(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            tbl = random_table(rng)
+            minbucket = int(rng.integers(1, 4))
+            assert_prunes_like_reference(grow(tbl, minsplit=2 * minbucket, minbucket=minbucket))
+
+    @pytest.mark.parametrize("minsplit", [5, None])
+    def test_bit_identical_to_reference_on_cfr_folds(self, cfr_table, monkeypatch, minsplit):
+        grown = []
+        prune = tree.prune_sequence
+        monkeypatch.setattr(tree, "prune_sequence", lambda t: grown.append(t) or prune(t))
+        for seed in range(3):
+            cross_validate(cfr_table, minsplit=minsplit, folds=10, seed=seed)
+        # the full table's tree plus ten fold subsets per seed
+        assert len(grown) == 33
+        for fitted in grown:
+            assert_prunes_like_reference(fitted)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("response", ["inf", "overflow"])
+    def test_non_finite_response_prunes_to_root(self, response):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(30, 2))
+        if response == "inf":
+            # the root's SSE is NaN, and so is every link strength above the inf
+            y = rng.normal(size=30)
+            y[7] = np.inf
+        else:
+            # finite values whose squared deviations overflow
+            y = rng.choice([-1e200, 1e200], size=30)
+        tbl = table_from_arrays(x, y)
+        sequence = prune_sequence(grow(tbl, minsplit=5, minbucket=1))
+        assert sequence[-1][1].root.is_leaf
+        assert cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=0).tree.root.is_leaf
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
