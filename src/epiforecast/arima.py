@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from operator import add, neg
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal._sigtools import _linear_filter
 
 from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values, undiff_values
 
@@ -24,7 +24,11 @@ _ROOT_MARGIN = 1e-3
 # selection refuses candidates whose fitted roots crowd the unit circle;
 # such optima are boundary artifacts, not identifiable dynamics
 _SELECTION_MIN_ROOT = 1.01
-# numerator of the MA filter 1 / theta(B), as the array lfilter would make of [1.0]
+# numerator of the MA filter 1 / theta(B), run by `_linear_filter`: SciPy's
+# C filter kernel, which its public filter function calls for a denominator
+# of length >= 2 and no initial state. Called directly, it gives the same
+# output without the wrapper's dispatch and checks, which cost more than the
+# kernel itself on series of about 60 values
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
@@ -150,14 +154,18 @@ def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
     while a and a[-1] == 0.0:
         a = a[:-1]
     n = len(a)
+    k = a[-1] if n else 0.0
     while n:
-        n -= 1
-        k = a[n]
         if not abs(k) < limit:
             return abs(k) - limit + 1e-9 if math.isfinite(k) else 1e6
-        if n:
+        n -= 1
+        if n == 1:
+            # the last level has one coefficient: no list to build
+            k = (a[0] + k * a[0]) / (1.0 - k * k)
+        elif n:
             denom = 1.0 - k * k
             a = [(a[j] + k * a[n - 1 - j]) / denom for j in range(n)]
+            k = a[-1]
     return 0.0
 
 
@@ -193,7 +201,7 @@ def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     np.multiply(coef, rows, out, where=where)
     u = np.subtract.reduce(out)
     if len(theta):
-        u = lfilter(_ONE, np.array([1.0, *map(neg, theta)]), u)
+        u = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), u, -1)
     return u
 
 
@@ -228,7 +236,7 @@ def _objective(params: list, p: int, q: int, skip: int, w, coef, rows, where, ou
         theta = params[k:]
         if not sum(map(abs, theta)) <= 0.99:
             violation += _stability_violation(theta)
-        eps = lfilter(_ONE, np.array([1.0, *map(neg, theta)]), eps)[skip:]
+        eps = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), eps, -1)[skip:]
     sse = float(np.dot(eps, eps))
     if violation > 0.0:
         sse = sse * (1.0 + 100.0 * violation) + violation

@@ -199,8 +199,10 @@ def _sorted_cuts(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Cuts lie midway between sorted distinct values. Rows sorted by the
     variable (NaN last) put the left side of each cut, `col < threshold`, on
     a prefix of that order: its length counts the values below the threshold,
-    and is 0 for a NaN threshold (one NaN value, or -inf next to inf), which
-    no value is below.
+    and is 0 for a NaN threshold, which no value is below. `grow` refuses NaN
+    values, so in a grown tree a NaN threshold comes only from -inf next to
+    inf; `best_split` on its own also takes NaN values, and one gives a NaN
+    threshold too.
     """
     order = np.argsort(col, kind="stable")
     distinct = np.unique(col)
@@ -304,9 +306,17 @@ def default_minsplit(n: int) -> int:
 
 
 def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None) -> RegressionTree:
-    """Recursive partitioning until no admissible SSE-reducing split remains."""
+    """Recursive partitioning until no admissible SSE-reducing split remains.
+
+    A NaN anywhere in `table.x` is refused up front: a split could not route
+    its row to either child.
+    """
     if table.n == 0:
         raise ValueError("cannot grow a tree on an empty table")
+    holes = np.isnan(table.x).any(axis=0)
+    if holes.any():
+        name = table.names[int(np.argmax(holes))]
+        raise ValueError(f"missing value (NaN) in column {name!r}")
     if minsplit is None:
         minsplit = default_minsplit(table.n)
     if minbucket is None:

@@ -376,6 +376,15 @@ class TestGrow:
         with pytest.raises(ValueError, match="empty"):
             grow(tbl)
 
+    @pytest.mark.parametrize("kind", [tree.NUMERIC, tree.CATEGORICAL])
+    def test_missing_training_value_rejected(self, kind):
+        x = np.column_stack([np.arange(8.0), np.tile([0.0, 1.0], 4)])
+        x[5, 1] = np.nan
+        tbl = Table(("days", "zone"), (tree.NUMERIC, kind), x, np.arange(8.0))
+        # refused on entry, before any split is searched
+        with pytest.raises(ValueError, match=r"^missing value \(NaN\) in column 'zone'$"):
+            grow(tbl, minsplit=2, minbucket=1)
+
     def test_minsplit_must_cover_minbucket(self):
         tbl = table_from_arrays(np.arange(10.0)[:, None], np.arange(10.0))
         with pytest.raises(ValueError, match="minsplit"):
@@ -454,7 +463,8 @@ class TestPrune:
             try:
                 fitted = grow(tbl, minsplit=2 * minbucket, minbucket=minbucket)
             except ValueError as exc:
-                # a split on a column holding NaN cannot route its rows
+                # grow refuses a table with NaN in any column; with this
+                # seed 214 of the 300 tables have none and are checked
                 assert "missing value" in str(exc)
                 continue
             assert_prunes_like_reference(fitted)
