@@ -72,7 +72,6 @@ class ArimaFit:
     bic: float
     loglik: float
     transform: TransformSpec
-    converged: bool
     n_obs: int
     k_params: int
     transformed: np.ndarray = field(repr=False)
@@ -117,7 +116,6 @@ class ArimaFit:
             "bic": float(self.bic),
             "loglik": float(self.loglik),
             "transform": self.transform.kind,
-            "converged": self.converged,
             "n_obs": self.n_obs,
         }
 
@@ -133,10 +131,7 @@ def _min_root_modulus(coeffs: np.ndarray) -> float:
     if len(trimmed) == 0:
         return float("inf")
     poly = np.concatenate([[1.0], -trimmed])[::-1]
-    roots = np.roots(poly)
-    if len(roots) == 0:
-        return float("inf")
-    return float(np.abs(roots).min())
+    return float(np.abs(np.roots(poly)).min())
 
 
 def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
@@ -332,11 +327,11 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
 def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
     nparams = int(use_intercept) + p + q
     if nparams == 0:
-        return np.empty(0), np.empty(0), 0.0, True
+        return np.empty(0), np.empty(0), 0.0
 
     if np.ptp(w) == 0.0 and (use_intercept or w[0] == 0.0):
         intercept = float(w[0]) if use_intercept else 0.0
-        return np.zeros(p), np.zeros(q), intercept, True
+        return np.zeros(p), np.zeros(q), intercept
 
     args = _objective_args(w, p, q, use_intercept, n_cond)
     budget = 150 + 100 * nparams
@@ -364,7 +359,7 @@ def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
         idx = 1
     phi = np.asarray(x[idx : idx + p], dtype=float)
     theta = np.asarray(x[idx + p : idx + p + q], dtype=float)
-    return phi, theta, intercept, converged
+    return phi, theta, intercept
 
 
 def fit_arima(
@@ -390,7 +385,7 @@ def fit_arima(
     z = transform.forward(values)
     w = diff_values(z, d)
     use_intercept = d == 0
-    phi, theta, intercept, converged = _estimate(w, p, q, use_intercept, n_cond)
+    phi, theta, intercept = _estimate(w, p, q, use_intercept, n_cond)
     eps = _css_residuals(w, phi, theta, intercept)
     m = len(w)
     n_eff = m - n_cond
@@ -412,7 +407,6 @@ def fit_arima(
         bic=bic,
         loglik=loglik,
         transform=transform,
-        converged=converged,
         n_obs=len(values),
         k_params=k,
         transformed=z,

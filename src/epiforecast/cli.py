@@ -101,7 +101,10 @@ def cmd_forecast(args) -> int:
     stem = path.stem
     s = load_series_csv(path)
 
-    fit = hybrid.fit_hybrid(s)
+    try:
+        fit = hybrid.fit_hybrid(s)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     parts = hybrid.forecast_components(fit, args.horizon)
 
     # standalone wavelet-domain model on the counts, for the comparison table
@@ -165,13 +168,7 @@ def cmd_forecast(args) -> int:
 def cmd_risktree(args) -> int:
     table = datasets.load_cfr_csv(args.input)
     minsplit = args.minsplit if args.minsplit is not None else tree.default_minsplit(table.n)
-    cv = tree.cross_validate(
-        table,
-        minsplit=minsplit,
-        minbucket=max(1, minsplit // 3),
-        folds=args.folds,
-        seed=args.seed,
-    )
+    cv = tree.cross_validate(table, minsplit=minsplit, folds=args.folds, seed=args.seed)
     out = _out_dir(args)
     fitted = cv.tree
     preds = fitted.predict(table.x)
@@ -180,9 +177,6 @@ def cmd_risktree(args) -> int:
 
     tree_json = out / "risktree.json"
     payload = fitted.to_dict()
-    payload["complexity"] = [
-        {"alpha": float(a), "n_leaves": int(nl), "cv_error": err} for a, nl, err, _ in cv.table
-    ]
     payload["cv"] = {
         "alpha": cv.alpha,
         "folds": cv.folds,
@@ -286,6 +280,8 @@ def main(argv=None) -> int:
                       help="minimum rows to attempt a split (default: chosen from the table size)")
     p_rt.add_argument("--folds", type=int, default=10,
                       help="cross-validation folds (default: %(default)s)")
+    p_rt.add_argument("--seed", type=int, default=0,
+                      help="seed for the cross-validation fold assignment (default: %(default)s)")
     p_rt.set_defaults(func=cmd_risktree)
 
     p_ev = sub.add_parser("eval", help="score a forecast CSV against actuals")
@@ -294,9 +290,6 @@ def main(argv=None) -> int:
     p_ev.add_argument("--column", default="hybrid", help="forecast column to score")
     p_ev.set_defaults(func=cmd_eval)
 
-    for p, effect in ((p_fc, "no effect: the forecast draws nothing at random"),
-                      (p_rt, "seed for the cross-validation fold assignment")):
-        p.add_argument("--seed", type=int, default=0, help=effect + " (default: %(default)s)")
     for p in (p_fetch, p_fc, p_rt, p_ev):
         _add_common(p)
 

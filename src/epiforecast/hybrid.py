@@ -56,17 +56,10 @@ def fit_hybrid(s: TimeSeries, *, order: arima.ArimaOrder | None = None) -> Hybri
     base_fitted = base.fitted_level()
     residual_level = s.values - base_fitted
 
-    diagnostics: dict = {
-        "order": {"p": order.p, "d": order.d, "q": order.q},
-        "stage2_degraded": False,
-    }
+    diagnostics: dict = {"stage2_degraded": False}
     try:
         residual_model = wavelet.wbf_fit(residual_level)
         residual_fitted = residual_model.fitted_values()
-        if residual_model.fallbacks:
-            diagnostics["stage2_fallback_sub_series"] = [
-                residual_model.sub_series_names()[i] for i in residual_model.fallbacks
-            ]
     except (ValueError, arima.ConvergenceError) as exc:
         residual_model = None
         residual_fitted = np.zeros(s.n)

@@ -208,7 +208,9 @@ def _df_critical(n_eff: int, level: float) -> float:
 
 
 def load_series_csv(path) -> TimeSeries:
-    """Read a `date,cases` CSV into a TimeSeries, rejecting schema violations."""
+    """Read a `date,cases` CSV into a TimeSeries; a bad row, such as a
+    non-finite count or a date that is not the day after the one before, is
+    rejected with its file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -229,8 +231,12 @@ def load_series_csv(path) -> TimeSeries:
                 count = float(row[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
+            if not math.isfinite(count):
+                raise ValueError(f"{path}:{lineno}: non-finite count {row[1]!r}")
             if count < 0:
                 raise ValueError(f"{path}:{lineno}: negative count {count}")
+            if dates and (day - dates[-1]).days != 1:
+                raise ValueError(f"{path}:{lineno}: date {day} is not the day after {dates[-1]}")
             dates.append(day)
             values.append(count)
     if len(values) < MIN_LENGTH:

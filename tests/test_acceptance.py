@@ -201,7 +201,7 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
     ok = run_twice("fetch", lambda out: ["fetch", "all", "--out", str(out)])
     ok &= run_twice(
         "fc",
-        lambda out: ["forecast", str(data / "india.csv"), "--seed", "0", "--out", str(out)],
+        lambda out: ["forecast", str(data / "india.csv"), "--out", str(out)],
     )
     ok &= run_twice(
         "rt",

@@ -241,15 +241,15 @@ def _ref_estimate(w, p, q, use_intercept, n_cond):
                 return None
     idx = int(use_intercept)
     intercept = float(best.x[0]) if use_intercept else 0.0
-    return best.x[idx : idx + p], best.x[idx + p : idx + p + q], intercept, converged
+    return best.x[idx : idx + p], best.x[idx + p : idx + p + q], intercept
 
 
 def _bits(estimate):
     """Byte-exact fingerprint of an _estimate result (None when it gave up)."""
     if estimate is None:
         return None
-    phi, theta, intercept, converged = estimate
-    return phi.tobytes(), theta.tobytes(), float(intercept).hex(), converged
+    phi, theta, intercept = estimate
+    return phi.tobytes(), theta.tobytes(), float(intercept).hex()
 
 
 def _package_estimate(w, p, q, use_intercept, n_cond):

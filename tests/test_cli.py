@@ -170,8 +170,34 @@ class TestForecast:
         path.write_text("date,cases\n" + "".join(
             f"{start + dt.timedelta(days=i)},{5 + 3 * i}\n" for i in range(12)))
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
-        assert "hybrid fitting needs at least 20 observations" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"forecast: {path}: hybrid fitting needs at least 20 observations, got 12\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["2020-03-01,4", "2020-03-02,nan"], "3: non-finite count 'nan'"),
+        (["2020-03-01,inf"], "2: non-finite count 'inf'"),
+        (["2020-03-01,4", "2020-03-02,5", "2020-03-02,6"],
+         "4: date 2020-03-02 is not the day after 2020-03-02"),
+        (["2020-03-01,4", "2020-03-03,5"], "3: date 2020-03-03 is not the day after 2020-03-01"),
+    ], ids=["nan", "inf", "repeated-date", "gap"])
+    def test_bad_series_row_names_file_and_line(self, tmp_path, capsys, rows, message):
+        # 20 good days follow, so that the row under test is the only fault
+        last = dt.date.fromisoformat(rows[-1].split(",")[0])
+        pad = [f"{last + dt.timedelta(days=i)},7" for i in range(1, 21)]
+        path = tmp_path / "bad.csv"
+        path.write_text("date,cases\n" + "\n".join(rows + pad) + "\n")
+        assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"forecast: {path}:{message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_rejected(self, data_dir, monkeypatch, capsys):
+        # the forecast draws nothing at random, so it has no seed to take
+        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("forecast", str(data_dir / "india.csv"), "--seed", "0")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -180,8 +206,9 @@ class TestForecast:
     (["risktree", "cfr_countries.csv"], "horizon"),
     (["eval", "india.csv", "india.csv"], "minsplit"),
     (["fetch", "india"], "seed"),
+    (["forecast", "india.csv"], "seed"),
     (["eval", "india.csv", "india.csv"], "seed"),
-], ids=["fetch", "forecast", "risktree", "eval", "fetch-seed", "eval-seed"])
+], ids=["fetch", "forecast", "risktree", "eval", "fetch-seed", "forecast-seed", "eval-seed"])
 def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv, key):
     # a key the command has no flag for would be read by nothing
     config = tmp_path / "run.cfg"
@@ -218,7 +245,6 @@ def test_empty_out_rejected(tmp_path, data_dir, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("command, line", [
     ("forecast", "horizon = abc"),
-    ("forecast", "seed = 1.5"),
     ("risktree", "minsplit = five"),
     ("risktree", "folds ="),
     ("risktree", "seed = 0x10"),
