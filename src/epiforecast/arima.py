@@ -5,13 +5,46 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from operator import add, neg
 
 import numpy as np
-from scipy.signal._sigtools import _linear_filter
 
 from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values, undiff_values
+
+
+def _load_linear_filter(scipy_dirs):
+    """SciPy's C filter kernel, loaded from `scipy_dirs` without scipy.signal.
+
+    scipy.signal's package init imports scipy.stats, optimize, interpolate and
+    spatial: over a second, and most of the process's memory. The extension
+    alone is loaded, under its real name, which is then dropped from
+    sys.modules, so that a later `import scipy.signal` builds its own module
+    and binds it as an attribute. If it is loaded already, that one is used.
+    """
+    name = "scipy.signal._sigtools"
+    if name in sys.modules:
+        return sys.modules[name]._linear_filter
+    searched = [os.path.join(d, "signal") for d in scipy_dirs]
+    for directory in searched:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "_sigtools" + suffix)
+            if os.path.isfile(path):
+                spec = spec_from_file_location(name, path, loader=ExtensionFileLoader(name, path))
+                try:
+                    module = module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                finally:
+                    sys.modules.pop(name, None)
+                return module._linear_filter
+    raise ImportError(f"no {name} extension module in "
+                      f"{', '.join(searched) or '(scipy is not installed)'}", name=name)
+
+
+_linear_filter = _load_linear_filter(getattr(find_spec("scipy"), "submodule_search_locations", ()))
 
 # the residual recursion has no compiled kernel; reports still print this flag
 HAVE_NUMBA = False

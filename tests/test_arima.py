@@ -7,9 +7,13 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import re
 import signal
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -675,3 +679,64 @@ class TestCellScheduler:
             order, worker_pool = pool.apply_async(_select_in_pool_worker, (values,)).get(timeout=120)
         assert worker_pool is None  # a daemonic worker fits every cell itself
         assert order == select_order(values, max_p=2, max_q=2)
+
+
+def _run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports this package; its stdout."""
+    src = str(Path(arima.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_RISKTREE_MODULES = """
+import sys
+from importlib import resources
+import epiforecast
+from epiforecast import cli
+table = resources.files("epiforecast") / "data" / "cfr_countries.csv"
+assert cli.main(["risktree", str(table), "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy.signal" or m.endswith("_sigtools")))
+"""
+
+_LFILTER_PARITY = """
+import numpy as np
+from epiforecast import arima
+import scipy.signal
+assert isinstance(scipy.signal._sigtools._linear_filter, type(len))
+rng = np.random.default_rng(20260)
+cases = 0
+for n in (20, 21, 64, 333, 990, 1000):
+    for q in range(1, 6):
+        for _ in range(4):
+            den = np.concatenate([[1.0], -rng.uniform(-0.9, 0.9, q) / q])
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 9)
+            want = scipy.signal.lfilter([1.0], den, x)
+            assert want.tobytes() == arima._linear_filter(arima._ONE, den, x, -1).tobytes(), (n, q)
+            cases += 1
+print(cases)
+"""
+
+
+class TestKernelLoader:
+    def test_risktree_process_never_imports_scipy_signal(self, tmp_path):
+        assert _run_fresh(_RISKTREE_MODULES, tmp_path).splitlines()[-1] == "[]"
+        assert (tmp_path / "risktree.json").is_file()
+
+    def test_later_scipy_signal_import_is_whole_and_matches_lfilter(self):
+        assert _run_fresh(_LFILTER_PARITY).split() == ["120"]
+
+    def test_loaded_module_is_reused(self):
+        import scipy.signal
+
+        assert arima._load_linear_filter([]) is scipy.signal._sigtools._linear_filter
+
+    def test_missing_extension_names_the_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "signal").mkdir()
+        (tmp_path / "signal" / "_sigtools.py").write_text("")
+        monkeypatch.delitem(sys.modules, "scipy.signal._sigtools", raising=False)
+        with pytest.raises(ImportError, match=f"in {re.escape(str(tmp_path / 'signal'))}$"):
+            arima._load_linear_filter([str(tmp_path)])
+        assert "scipy.signal._sigtools" not in sys.modules
