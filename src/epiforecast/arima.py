@@ -13,7 +13,7 @@ from operator import add, neg
 
 import numpy as np
 
-from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values, undiff_values
+from .series import NO_TRANSFORM, TransformSpec, adf_test, diff_values, undiff_values, values_of
 
 
 def _load_linear_filter(scipy_dirs):
@@ -153,10 +153,6 @@ class ArimaFit:
         }
 
 
-def _values_of(s) -> np.ndarray:
-    return np.asarray(getattr(s, "values", s), dtype=float)
-
-
 def _min_root_modulus(coeffs: np.ndarray) -> float:
     """Smallest root modulus of 1 - c_1 z - ... - c_k z^k (inf when k == 0)."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -222,6 +218,8 @@ def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int = 0):
     return np.ones((len(rows), 1)), rows, where, np.zeros(rows.shape)
 
 
+# Not merged with `_objective`: the residuals would match bit for bit, but
+# the shared helper makes every objective evaluation slower (ROADMAP item 5).
 def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
     coef, rows, where, out = _ar_terms(w, len(phi), True)
@@ -408,7 +406,7 @@ def fit_arima(
     (default p). Order selection passes a common value so that criteria stay
     comparable across grid cells.
     """
-    values = _values_of(s)
+    values = values_of(s)
     p, d, q = order
     n_cond = p if n_condition is None else max(n_condition, p)
     if len(values) - d <= max(p + q, n_cond) + 2:
@@ -472,7 +470,7 @@ def select_order(
 
 def _order_grid(s, transform: TransformSpec, max_p: int, max_q: int, force_d: int | None) -> list:
     """The `fit_arima` jobs of `select_order`'s (p,q) grid, p-major."""
-    values = _values_of(s)
+    values = values_of(s)
     if len(values) < 20:
         raise ValueError(f"order selection needs at least 20 observations, got {len(values)}")
     z = transform.forward(values)

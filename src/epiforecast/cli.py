@@ -24,6 +24,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must not be negative, got {value}")
+    return value
+
+
 def directory(text: str) -> str:
     if not text:
         raise ValueError("must not be empty")
@@ -31,8 +38,8 @@ def directory(text: str) -> str:
 
 
 # every config key, with the type its flag has
-_CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int, "seed": int,
-                "out": directory}
+_CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int,
+                "seed": non_negative_int, "out": directory}
 
 
 def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
@@ -78,7 +85,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_fetch(args) -> int:
-    names = datasets.available() + [datasets.CFR_TABLE]
+    names = [*datasets.BUNDLED_SERIES, datasets.CFR_TABLE]
     wanted = names if args.source == "all" else [args.source]
     for name in wanted:
         if name not in names:
@@ -179,8 +186,8 @@ def cmd_risktree(args) -> int:
     payload = fitted.to_dict()
     payload["cv"] = {
         "alpha": cv.alpha,
-        "folds": cv.folds,
-        "seed": cv.seed,
+        "folds": args.folds,
+        "seed": args.seed,
         "table": [
             {"alpha": a, "n_leaves": nl, "cv_error": err, "cv_se": se}
             for a, nl, err, se in cv.table
@@ -253,8 +260,8 @@ def _read_dated_column(path, value_field: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--out", type=directory, help="output directory (default: out; eval writes "
-                        "eval.json only when given here or in --config)")
+    parser.add_argument("--out", type=_CONFIG_KEYS["out"], help="output directory (default: out; "
+                        "eval writes eval.json only when given here or in --config)")
 
 
 def main(argv=None) -> int:
@@ -270,17 +277,17 @@ def main(argv=None) -> int:
 
     p_fc = sub.add_parser("forecast", help="fit the hybrid model and forecast")
     p_fc.add_argument("input", help="series CSV with date,cases columns")
-    p_fc.add_argument("--horizon", type=positive_int, default=10,
+    p_fc.add_argument("--horizon", type=_CONFIG_KEYS["horizon"], default=10,
                       help="forecast steps (default: %(default)s)")
     p_fc.set_defaults(func=cmd_forecast)
 
     p_rt = sub.add_parser("risktree", help="build the cross-validated risk tree")
     p_rt.add_argument("input", help="risk-factor CSV")
-    p_rt.add_argument("--minsplit", type=int,
+    p_rt.add_argument("--minsplit", type=_CONFIG_KEYS["minsplit"],
                       help="minimum rows to attempt a split (default: chosen from the table size)")
-    p_rt.add_argument("--folds", type=int, default=10,
+    p_rt.add_argument("--folds", type=_CONFIG_KEYS["folds"], default=10,
                       help="cross-validation folds (default: %(default)s)")
-    p_rt.add_argument("--seed", type=int, default=0,
+    p_rt.add_argument("--seed", type=_CONFIG_KEYS["seed"], default=0,
                       help="seed for the cross-validation fold assignment (default: %(default)s)")
     p_rt.set_defaults(func=cmd_risktree)
 

@@ -29,17 +29,13 @@ CFR_RESPONSE = "cfr"
 _CATEGORY_LEVELS = {"income_level": {0.0, 1.0}, "climate_zone": {-1.0, 0.0, 1.0}}
 
 
-def available() -> list[str]:
-    return list(BUNDLED_SERIES)
-
-
 def bundled_path(name: str):
     """Filesystem path of a bundled snapshot CSV."""
     fname = f"{name}.csv"
     ref = resources.files("epiforecast") / "data" / fname
     if not ref.is_file():
         raise KeyError(
-            f"no bundled dataset {name!r}; available: {', '.join(available())} or {CFR_TABLE}"
+            f"no bundled dataset {name!r}; available: {', '.join(BUNDLED_SERIES)} or {CFR_TABLE}"
         )
     return ref
 
@@ -47,7 +43,7 @@ def bundled_path(name: str):
 def load_series(name: str) -> TimeSeries:
     if name not in BUNDLED_SERIES:
         raise KeyError(
-            f"no bundled series {name!r}; available: {', '.join(available())}"
+            f"no bundled series {name!r}; available: {', '.join(BUNDLED_SERIES)}"
         )
     with resources.as_file(bundled_path(name)) as path:
         return load_series_csv(path)

@@ -22,12 +22,11 @@ class HybridFit:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "base": self.base.to_dict(),
             "residual_model": self.residual_model.to_dict() if self.residual_model else None,
             "diagnostics": self.diagnostics,
         }
-        return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,14 +79,7 @@ class MetricReport:
     k: int
 
     def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "r2": self.r2,
-            "adj_r2": self.adj_r2,
-            "n": self.n,
-            "k": self.k,
-        }
+        return asdict(self)
 
 
 def report(actual, predicted, k: int = 0) -> MetricReport:

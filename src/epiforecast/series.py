@@ -11,14 +11,10 @@ import numpy as np
 
 MIN_LENGTH = 8
 
-# Finite-sample critical values for the Dickey-Fuller t-distribution
+# Finite-sample 5% critical value of the Dickey-Fuller t-distribution
 # (regression with constant, no trend), as response-surface coefficients
 # cv(n) = b0 + b1/n + b2/n^2 + b3/n^3 evaluated at the effective sample size.
-_DF_CRIT_CONSTANT = {
-    0.01: (-3.43035, -6.5393, -16.786, -79.433),
-    0.05: (-2.86154, -2.8903, -4.234, -40.04),
-    0.10: (-2.56677, -1.5384, -2.809, 0.0),
-}
+_DF_CRIT_5PCT = (-2.86154, -2.8903, -4.234, -40.04)
 
 
 @dataclass(frozen=True)
@@ -50,12 +46,14 @@ class TimeSeries:
             if (cur - prev).days != 1:
                 raise ValueError(f"dates must be consecutive days; gap between {prev} and {cur}")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def n(self) -> int:
         return len(self.values)
+
+
+def values_of(s) -> np.ndarray:
+    """The float array of a TimeSeries or of any array-like."""
+    return np.asarray(getattr(s, "values", s), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def adf_test(values) -> AdfResult:
     finite-sample Dickey-Fuller critical values. A numerically constant
     series carries no unit root and is reported as stationary outright.
     """
-    values = np.asarray(getattr(values, "values", values), dtype=float)
+    values = values_of(values)
     n = len(values)
     if n < 20:
         raise ValueError(f"adf test needs at least 20 observations, got {n}")
@@ -162,7 +160,7 @@ def adf_test(values) -> AdfResult:
             statistic=float("-inf"),
             reject_unit_root=True,
             lag_order=0,
-            critical_value_5pct=_df_critical(n - 1, 0.05),
+            critical_value_5pct=_df_critical(n - 1),
         )
 
     k = int(np.floor((n - 1) ** (1.0 / 3.0)))
@@ -192,7 +190,7 @@ def adf_test(values) -> AdfResult:
         stat = float("-inf")
     else:
         stat = float(beta[0] / se)
-    crit = _df_critical(rows, 0.05)
+    crit = _df_critical(rows)
     return AdfResult(
         statistic=stat,
         reject_unit_root=stat < crit,
@@ -201,8 +199,8 @@ def adf_test(values) -> AdfResult:
     )
 
 
-def _df_critical(n_eff: int, level: float) -> float:
-    b0, b1, b2, b3 = _DF_CRIT_CONSTANT[level]
+def _df_critical(n_eff: int) -> float:
+    b0, b1, b2, b3 = _DF_CRIT_5PCT
     n = float(max(n_eff, 1))
     return b0 + b1 / n + b2 / n**2 + b3 / n**3
 

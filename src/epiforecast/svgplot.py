@@ -16,10 +16,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag
@@ -35,17 +35,13 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def line_chart(
-    series: list[tuple[str, list[float]]],
-    title: str,
-    width: int = 760,
-    height: int = 420,
-    x_labels: list[str] | None = None,
-    vline_at: int | None = None,
+    series: list[tuple[str, list[float]]], title: str, x_labels: list[str], vline_at: int
 ) -> str:
     """Render labelled series (shared x positions 0..n-1) as an SVG string.
 
     vline_at draws a dashed separator, used to mark the forecast origin.
     """
+    width, height = 760, 420
     margin_l, margin_r, margin_t, margin_b = 62, 16, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -88,20 +84,16 @@ def line_chart(
             f'<text x="{x0 - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{tick:g}</text>'
         )
-    if x_labels:
-        step = max(1, n // 6)
-        for i in range(0, n, step):
-            x = sx(i)
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{y0 + 16}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="9">{escape(x_labels[i])}</text>'
-            )
-    if vline_at is not None:
-        x = sx(vline_at)
+    for i in range(0, n, max(1, n // 6)):
         parts.append(
-            f'<line x1="{_fmt(x)}" y1="{margin_t}" x2="{_fmt(x)}" y2="{y0}" '
-            f'stroke="#888" stroke-width="1" stroke-dasharray="4,3"/>'
+            f'<text x="{_fmt(sx(i))}" y="{y0 + 16}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="9">{escape(x_labels[i])}</text>'
         )
+    x = sx(vline_at)
+    parts.append(
+        f'<line x1="{_fmt(x)}" y1="{margin_t}" x2="{_fmt(x)}" y2="{y0}" '
+        f'stroke="#888" stroke-width="1" stroke-dasharray="4,3"/>'
+    )
     # legend + polylines
     for idx, (label, values) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -123,9 +115,10 @@ def line_chart(
     return "\n".join(parts) + "\n"
 
 
-def tree_diagram(tree, width: int = 900) -> str:
+def tree_diagram(tree) -> str:
     """Render a fitted regression tree as nested boxes with split labels."""
     names = tree.table.names
+    width = 900
 
     def depth_of(node):
         if node.is_leaf:

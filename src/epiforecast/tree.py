@@ -391,8 +391,6 @@ class CrossValidation:
     alpha: float
     tree: RegressionTree
     table: list[tuple[float, int, float, float]]  # (alpha, n_leaves, cv_error, cv_se)
-    seed: int
-    folds: int
 
 
 def cross_validate(
@@ -439,10 +437,7 @@ def cross_validate(
     cv_se = sq_errors.std(axis=1, ddof=1) / math.sqrt(table.n)
     best_i = int(np.argmin(cv_mean))
     cutoff = cv_mean[best_i] + cv_se[best_i]
-    chosen = best_i
-    for i in range(len(eval_alphas)):
-        if cv_mean[i] <= cutoff:
-            chosen = max(chosen, i)
+    chosen = max([best_i, *(i for i, m in enumerate(cv_mean) if m <= cutoff)])
     return CrossValidation(
         alpha=alphas[chosen],
         tree=sequence[chosen][1],
@@ -450,8 +445,6 @@ def cross_validate(
             (alphas[i], sequence[i][1].n_leaves(), float(cv_mean[i]), float(cv_se[i]))
             for i in range(len(sequence))
         ],
-        seed=seed,
-        folds=folds,
     )
 
 

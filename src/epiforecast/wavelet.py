@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arima
-from .series import NO_TRANSFORM
+from .series import NO_TRANSFORM, values_of
 
 # Haar filters rescaled for the maximal-overlap transform (h/sqrt(2), g/sqrt(2)).
 _HAAR_DETAIL = np.array([0.5, -0.5])
@@ -44,7 +44,7 @@ def _circular_filter(x: np.ndarray, kernel: np.ndarray, level: int, synthesis: b
 
 def modwt(values, levels: int) -> ModwtDecomposition:
     """Haar MODWT pyramid with periodic boundary handling."""
-    x = np.asarray(getattr(values, "values", values), dtype=float)
+    x = values_of(values)
     n = len(x)
     if n < 2:
         raise ValueError("series too short for wavelet decomposition")
@@ -108,7 +108,7 @@ def wbf_fit(values) -> WbfFit:
     The order grids of all sub-series are fitted as one batch, and then the
     refits of the chosen orders, so that the cells spread over the CPUs.
     """
-    x = np.asarray(getattr(values, "values", values), dtype=float)
+    x = values_of(values)
     levels = decomposition_level(len(x))
     dec = modwt(x, levels)
     sub_series = [*dec.details, dec.smooth]

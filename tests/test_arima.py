@@ -526,7 +526,10 @@ class _KillsOtherProcesses:
 
 def _kill_workers():
     for child in multiprocessing.active_children():
-        os.kill(child.pid, signal.SIGKILL)
+        # killing one worker can make the executor reap its siblings before
+        # the loop reaches them; kill() skips a reaped child, os.kill would
+        # raise ProcessLookupError
+        child.kill()
         # the sentinel is ready once the child is gone, whoever reaps it
         assert multiprocessing.connection.wait([child.sentinel], timeout=30) == [child.sentinel]
 

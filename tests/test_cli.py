@@ -248,6 +248,7 @@ def test_empty_out_rejected(tmp_path, data_dir, monkeypatch, capsys, argv):
     ("risktree", "minsplit = five"),
     ("risktree", "folds ="),
     ("risktree", "seed = 0x10"),
+    ("risktree", "seed = -1"),
 ])
 def test_non_integer_config_value_names_file_and_line(tmp_path, data_dir, monkeypatch, capsys, command, line):
     monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
@@ -368,6 +369,15 @@ class TestRisktree:
         assert "missing required columns" in err
         assert "population_millions" in err
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
+        monkeypatch.setattr(cli.tree, "cross_validate", _must_not_fit)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("risktree", str(data_dir / "cfr_countries.csv"), "--seed", "-1", "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument --seed: invalid non_negative_int value: '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--folds", "1", "folds must be in 2..50, got 1"),

@@ -1,0 +1,37 @@
+"""SVG renderer tests: the bytes of a fixed line chart and of the bundled
+risk tree's diagram, pinned by their sha256 digests."""
+
+import hashlib
+
+from epiforecast import svgplot, tree
+
+NAN = float("nan")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_line_chart_bytes():
+    n, h = 30, 5
+    actual = [100.0 + 40.0 * ((7 * i) % 11) - 3.5 * i for i in range(n)]
+    svg = svgplot.line_chart(
+        [
+            ("actual", actual + [NAN] * h),
+            ("fit & forecast", [v + 0.25 * i for i, v in enumerate(actual)]
+             + [150.0 - 60.0 * k for k in range(h)]),
+            ("<wbf>", [NAN] * n + [90.0 + 10.0 * k for k in range(h)]),
+        ],
+        title="synthetic: fit and 5-step forecast",
+        x_labels=[f"2020-03-{day:02d}" for day in range(1, n + h + 1)],
+        vline_at=n - 1,
+    )
+    assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="760" height="420" ')
+    assert 'stroke-dasharray="4,3"' in svg and "&lt;wbf&gt;" in svg
+    assert _sha256(svg) == "c10bef26fd840c7e6d2b36f4407a9cbcc168d018a1a4e9e5f851f3fa1f068107"
+
+
+def test_tree_diagram_bytes(cfr_table):
+    svg = svgplot.tree_diagram(tree.grow(cfr_table))
+    assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="900" ')
+    assert _sha256(svg) == "6368a8112d98f043392b760533d9fbaf24ef95347ef297b5d6af0645035c5a44"

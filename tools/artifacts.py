@@ -50,7 +50,7 @@ def main() -> None:
     counts = long_series(np.random.default_rng(0), LONG_DAYS)[:-HORIZON]
     rows = [f"{LONG_START + dt.timedelta(days=i)},{int(c)}" for i, c in enumerate(counts)]
     (series / "long.csv").write_text("date,cases\n" + "\n".join(rows) + "\n")
-    for name in [*datasets.available(), "long"]:
+    for name in [*datasets.BUNDLED_SERIES, "long"]:
         run("forecast", series / f"{name}.csv", "--out", out / "forecast" / name)
     table = series / f"{datasets.CFR_TABLE}.csv"
     for seed in FOLD_SEEDS:
