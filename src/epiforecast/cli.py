@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
-import shutil
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -67,21 +66,27 @@ def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_K
     return values
 
 
-def _out_dir(args) -> Path:
+def _csv_text(rows) -> str:
+    """The rows, header first, as csv.writer writes them (CRLF line ends)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _publish(args, files: dict) -> list[Path]:
+    """Create the output directory, write each {name: text} file into it
+    as is, and return their paths in order. Every command renders all its
+    files before this call, so a failure anywhere leaves nothing behind."""
     out = Path(args.out if args.out is not None else "out")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for name, text in files.items():
+        with open(out / name, "w", newline="") as fh:
+            fh.write(text)
+    return [out / name for name in files]
 
 
 def cmd_fetch(args) -> int:
@@ -94,12 +99,8 @@ def cmd_fetch(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    out = _out_dir(args)
-    for name in wanted:
-        with resources.as_file(datasets.bundled_path(name)) as src:
-            dest = out / f"{name}.csv"
-            shutil.copyfile(src, dest)
-            print(dest)
+    print(*_publish(args, {f"{name}.csv": datasets.bundled_path(name).read_text()
+                           for name in wanted}), sep="\n")
     return 0
 
 
@@ -110,16 +111,12 @@ def cmd_forecast(args) -> int:
 
     try:
         fit = hybrid.fit_hybrid(s)
-    except ValueError as exc:
+        parts = hybrid.forecast_components(fit, args.horizon)
+        # standalone wavelet-domain model on the counts, for the comparison table
+        wbf_direct = wavelet.wbf_fit(s.values)
+    except (ValueError, arima.ConvergenceError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    parts = hybrid.forecast_components(fit, args.horizon)
-
-    # standalone wavelet-domain model on the counts, for the comparison table
-    wbf_direct = wavelet.wbf_fit(s.values)
     wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, args.horizon), 0.0)
-    wbf_direct_fitted = wbf_direct.fitted_values()
-    # only once both fits succeed, so that a failed forecast leaves no directory
-    out = _out_dir(args)
 
     horizon_dates = [s.dates[-1] + (i + 1) * (s.dates[-1] - s.dates[-2]) for i in range(args.horizon)]
 
@@ -127,31 +124,11 @@ def cmd_forecast(args) -> int:
         return ([day.isoformat(), *(repr(float(v)) for v in values)]
                 for day, *values in zip(horizon_dates, *columns))
 
-    forecast_csv = out / f"{stem}_forecast.csv"
-    _write_csv(forecast_csv, ["date", "arima", "wbf_residual", "hybrid"],
-               dated_rows(parts.base, parts.residual, parts.final))
-    comparison_csv = out / f"{stem}_models.csv"
-    _write_csv(comparison_csv, ["date", "arima", "wbf", "hybrid"],
-               dated_rows(parts.base, wbf_direct_fc, parts.final))
-
     train = {
         "arima": metrics.report(s.values, fit.base_fitted).to_dict(),
-        "wbf": metrics.report(s.values, np.maximum(wbf_direct_fitted, 0.0)).to_dict(),
+        "wbf": metrics.report(s.values, np.maximum(wbf_direct.fitted_values(), 0.0)).to_dict(),
         "hybrid": metrics.report(s.values, fit.fitted_values).to_dict(),
     }
-    fit_json = out / f"{stem}_fit.json"
-    _write_json(
-        fit_json,
-        {
-            "series": stem,
-            "n_obs": s.n,
-            "horizon": args.horizon,
-            "model": fit.to_dict(),
-            "training_metrics": train,
-        },
-    )
-
-    labels = [d.isoformat() for d in s.dates] + [d.isoformat() for d in horizon_dates]
     nan_head = [float("nan")] * s.n
     plot = svgplot.line_chart(
         [
@@ -161,14 +138,18 @@ def cmd_forecast(args) -> int:
             ("wbf", nan_head + list(wbf_direct_fc)),
         ],
         title=f"{stem}: training fit and {args.horizon}-step forecast",
-        x_labels=labels,
+        x_labels=[d.isoformat() for d in (*s.dates, *horizon_dates)],
         vline_at=s.n - 1,
     )
-    plot_svg = out / f"{stem}_plot.svg"
-    plot_svg.write_text(plot)
-
-    for artifact in (forecast_csv, comparison_csv, fit_json, plot_svg):
-        print(artifact)
+    print(*_publish(args, {
+        f"{stem}_forecast.csv": _csv_text([["date", "arima", "wbf_residual", "hybrid"],
+                                           *dated_rows(parts.base, parts.residual, parts.final)]),
+        f"{stem}_models.csv": _csv_text([["date", "arima", "wbf", "hybrid"],
+                                         *dated_rows(parts.base, wbf_direct_fc, parts.final)]),
+        f"{stem}_fit.json": _json_text({"series": stem, "n_obs": s.n, "horizon": args.horizon,
+                                        "model": fit.to_dict(), "training_metrics": train}),
+        f"{stem}_plot.svg": plot,
+    }), sep="\n")
     return 0
 
 
@@ -176,13 +157,11 @@ def cmd_risktree(args) -> int:
     table = datasets.load_cfr_csv(args.input)
     minsplit = args.minsplit if args.minsplit is not None else tree.default_minsplit(table.n)
     cv = tree.cross_validate(table, minsplit=minsplit, folds=args.folds, seed=args.seed)
-    out = _out_dir(args)
     fitted = cv.tree
     preds = fitted.predict(table.x)
     k = len(fitted.used_variables())
     report = metrics.report(table.y, preds, k=k)
 
-    tree_json = out / "risktree.json"
     payload = fitted.to_dict()
     payload["cv"] = {
         "alpha": cv.alpha,
@@ -196,22 +175,17 @@ def cmd_risktree(args) -> int:
     payload["metrics"] = report.to_dict()
     if report.r2 is None:
         payload["metrics"]["note"] = "r2 undefined: constant response"
-    _write_json(tree_json, payload)
-
-    tree_svg = out / "risktree.svg"
-    tree_svg.write_text(svgplot.tree_diagram(fitted))
-
-    importance_csv = out / "importance.csv"
     importance = tree.variable_importance(fitted)
-    _write_csv(importance_csv, ["variable", "importance_pct"],
-               ([name, repr(round(float(value), 6))] for name, value in importance.items()))
-
-    report_json = out / "risktree_report.json"
-    _write_json(report_json, {"metrics": payload["metrics"], "n_leaves": fitted.n_leaves(),
-                              "variables_used": sorted(table.names[v] for v in fitted.used_variables())})
-
-    for artifact in (tree_json, tree_svg, importance_csv, report_json):
-        print(artifact)
+    print(*_publish(args, {
+        "risktree.json": _json_text(payload),
+        "risktree.svg": svgplot.tree_diagram(fitted),
+        "importance.csv": _csv_text([["variable", "importance_pct"],
+                                     *([name, repr(round(float(value), 6))]
+                                       for name, value in importance.items())]),
+        "risktree_report.json": _json_text({
+            "metrics": payload["metrics"], "n_leaves": fitted.n_leaves(),
+            "variables_used": sorted(table.names[v] for v in fitted.used_variables())}),
+    }), sep="\n")
     return 0
 
 
@@ -225,11 +199,11 @@ def cmd_eval(args) -> int:
     a = np.array([actual[d] for d in shared])
     p = np.array([predicted[d] for d in shared])
     report = metrics.report(a, p)
-    payload = {"n_dates": len(shared), "first": shared[0], "last": shared[-1],
-               "metrics": report.to_dict()}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = _json_text({"n_dates": len(shared), "first": shared[0], "last": shared[-1],
+                       "metrics": report.to_dict()})
+    print(text, end="")
     if args.out is not None:
-        _write_json(_out_dir(args) / "eval.json", payload)
+        _publish(args, {"eval.json": text})
     return 0
 
 
@@ -256,12 +230,6 @@ def _read_dated_column(path, value_field: str) -> dict:
                 raise ValueError(f"{where}: duplicate date {record['date']!r}")
             out[record["date"]] = value
     return out
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--out", type=_CONFIG_KEYS["out"], help="output directory (default: out; "
-                        "eval writes eval.json only when given here or in --config)")
 
 
 def main(argv=None) -> int:
@@ -298,7 +266,9 @@ def main(argv=None) -> int:
     p_ev.set_defaults(func=cmd_eval)
 
     for p in (p_fetch, p_fc, p_rt, p_ev):
-        _add_common(p)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        p.add_argument("--out", type=_CONFIG_KEYS["out"], help="output directory (default: out; "
+                       "eval writes eval.json only when given here or in --config)")
 
     args = parser.parse_args(argv)
     try:

@@ -7,28 +7,55 @@ runs are identical.
 from __future__ import annotations
 
 import math
+import sys
 from xml.sax.saxutils import escape
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+_SANS = 'font-family="sans-serif"'
+_MIDDLE = f'text-anchor="middle" {_SANS}'
+_MAX = sys.float_info.max
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _fmt(v) -> str:
+    """A coordinate: an int as it is, a computed position to two decimals."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}"
+
+
+def _svg(width: int, height: int, parts: list[str]) -> str:
+    """The document: a white canvas, then `parts`, one element a line."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *parts,
+        "</svg>",
+    ]) + "\n"
+
+
+def _line(start, end, style: str) -> str:
+    (x1, y1), (x2, y2) = start, end
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
+
+
+def _text(at, style: str, content: str) -> str:
+    x, y = at
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" {style}>{escape(content)}</text>'
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / 5
+    # (hi - lo) / 5, taken in halves so that a span wider than the largest float stays finite
+    raw = (hi / 2 - lo / 2) / 2.5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * mag
         if step >= raw:
             break
     start = math.ceil(lo / step) * step
+    # capped, since a step that is an int never overflows to end the loop
+    end = min(hi + 1e-9 * step, _MAX)
     ticks = []
     t = start
-    while t <= hi + 1e-9 * step:
+    while t <= end:
         ticks.append(round(t, 10))
         t += step
     return ticks
@@ -49,134 +76,81 @@ def line_chart(
     all_vals = [v for _, values in series for v in values if math.isfinite(v)]
     lo = min(all_vals + [0.0])
     hi = max(all_vals) if all_vals else 1.0
-    if hi == lo:
-        hi = lo + 1.0
+    if hi - lo < sys.float_info.min:
+        # no span to divide into ticks: one unit, or up to 0 below -1
+        hi = max(lo + 1.0, 0.0)
     pad = 0.05 * (hi - lo)
-    lo2, hi2 = lo - pad if lo < 0 else 0.0, hi + pad
-
-    def sx(i: int) -> float:
-        return margin_l + (plot_w * i / max(n - 1, 1))
+    # the padding may carry a bound past the largest float
+    lo2 = max(lo - pad, -_MAX) if lo < 0 else 0.0
+    hi2 = min(hi + pad, _MAX)
+    xs = [margin_l + (plot_w * i / max(n - 1, 1)) for i in range(n)]
 
     def sy(v: float) -> float:
-        return margin_t + plot_h * (1.0 - (v - lo2) / (hi2 - lo2))
+        # halves, as in _nice_ticks
+        return margin_t + plot_h * (1.0 - (v / 2 - lo2 / 2) / (hi2 / 2 - lo2 / 2))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width // 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
-    ]
-    # axes
     x0, y0 = margin_l, margin_t + plot_h
-    parts.append(
-        f'<line x1="{x0}" y1="{margin_t}" x2="{x0}" y2="{y0}" stroke="#333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="#333" stroke-width="1"/>'
-    )
+    parts = [
+        _text((width // 2, 20), f'{_MIDDLE} font-size="14"', title),
+        _line((x0, margin_t), (x0, y0), 'stroke="#333" stroke-width="1"'),
+        _line((x0, y0), (x0 + plot_w, y0), 'stroke="#333" stroke-width="1"'),
+    ]
     for tick in _nice_ticks(lo2, hi2):
         y = sy(tick)
-        parts.append(
-            f'<line x1="{x0 - 4}" y1="{_fmt(y)}" x2="{x0}" y2="{_fmt(y)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{tick:g}</text>'
-        )
+        parts.append(_line((x0 - 4, y), (x0, y), 'stroke="#333"'))
+        parts.append(_text((x0 - 8, y + 4), f'text-anchor="end" {_SANS} font-size="10"',
+                           f"{tick:g}"))
     for i in range(0, n, max(1, n // 6)):
-        parts.append(
-            f'<text x="{_fmt(sx(i))}" y="{y0 + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="9">{escape(x_labels[i])}</text>'
-        )
-    x = sx(vline_at)
-    parts.append(
-        f'<line x1="{_fmt(x)}" y1="{margin_t}" x2="{_fmt(x)}" y2="{y0}" '
-        f'stroke="#888" stroke-width="1" stroke-dasharray="4,3"/>'
-    )
+        parts.append(_text((xs[i], y0 + 16), f'{_MIDDLE} font-size="9"', x_labels[i]))
+    parts.append(_line((xs[vline_at], margin_t), (xs[vline_at], y0),
+                       'stroke="#888" stroke-width="1" stroke-dasharray="4,3"'))
     # legend + polylines
     for idx, (label, values) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         points = " ".join(
-            f"{_fmt(sx(i))},{_fmt(sy(v))}" for i, v in enumerate(values) if math.isfinite(v)
+            f"{_fmt(xs[i])},{_fmt(sy(v))}" for i, v in enumerate(values) if math.isfinite(v)
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
-        lx = margin_l + 10 + idx * 150
-        ly = margin_t - 8
-        parts.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 22}" y="{ly + 4}" font-family="sans-serif" font-size="11">{escape(label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        lx, ly = margin_l + 10 + idx * 150, margin_t - 8
+        parts.append(_line((lx, ly), (lx + 18, ly), f'stroke="{color}" stroke-width="2"'))
+        parts.append(_text((lx + 22, ly + 4), f'{_SANS} font-size="11"', label))
+    return _svg(width, height, parts)
 
 
 def tree_diagram(tree) -> str:
     """Render a fitted regression tree as nested boxes with split labels."""
     names = tree.table.names
-    width = 900
-
-    def depth_of(node):
-        if node.is_leaf:
-            return 1
-        return 1 + max(depth_of(node.left), depth_of(node.right))
-
-    depth = depth_of(tree.root)
-    level_h = 86
-    height = depth * level_h + 40
+    width, level_h = 900, 86
     box_w, box_h = 118, 40
 
-    positions = {}
-    next_x = [0]
-
-    def layout(node, level):
+    # layout: leaves take slots 0, 1, ... left to right, and a split sits
+    # midway between its children, one level above them
+    nodes = tree.nodes()  # preorder, so the leaves come left to right
+    level = {id(tree.root): 0}
+    slot = {}
+    for node in nodes:
         if node.is_leaf:
-            x = next_x[0]
-            next_x[0] += 1
-            positions[id(node)] = (x, level)
-            return x
-        lx = layout(node.left, level + 1)
-        rx = layout(node.right, level + 1)
-        x = (lx + rx) / 2.0
-        positions[id(node)] = (x, level)
-        return x
-
-    layout(tree.root, 0)
-    n_leaves = next_x[0]
-    span = max(n_leaves - 1, 1)
-
-    def px(slot: float) -> float:
-        return 70 + (width - 140) * slot / span
-
-    def py(level: int) -> float:
-        return 30 + level * level_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+            slot[id(node)] = len(slot)
+        else:
+            level[id(node.left)] = level[id(node.right)] = level[id(node)] + 1
+    span = max(len(slot) - 1, 1)
+    for node in reversed(nodes):  # children before their parent
+        if not node.is_leaf:
+            slot[id(node)] = (slot[id(node.left)] + slot[id(node.right)]) / 2.0
+    centre = {key: (70 + (width - 140) * slot[key] / span, 30.0 + level[key] * level_h)
+              for key in slot}
+    parts = []
 
     def draw(node):
-        slot, level = positions[id(node)]
-        cx, cy = px(slot), py(level)
+        cx, cy = centre[id(node)]
         if not node.is_leaf:
             for child, side in ((node.left, "yes"), (node.right, "no")):
-                cslot, clevel = positions[id(child)]
-                ccx, ccy = px(cslot), py(clevel)
-                parts.append(
-                    f'<line x1="{_fmt(cx)}" y1="{_fmt(cy + box_h / 2)}" '
-                    f'x2="{_fmt(ccx)}" y2="{_fmt(ccy - box_h / 2)}" stroke="#666"/>'
-                )
+                ccx, ccy = centre[id(child)]
+                parts.append(_line((cx, cy + box_h / 2), (ccx, ccy - box_h / 2), 'stroke="#666"'))
                 mx, my = (cx + ccx) / 2, (cy + box_h / 2 + ccy - box_h / 2) / 2
-                parts.append(
-                    f'<text x="{_fmt(mx)}" y="{_fmt(my)}" text-anchor="middle" '
-                    f'font-family="sans-serif" font-size="9" fill="#666">{side}</text>'
-                )
+                parts.append(_text((mx, my), f'{_MIDDLE} font-size="9" fill="#666"', side))
             draw(node.left)
             draw(node.right)
         fill = "#eef5ee" if node.is_leaf else "#eef2f8"
@@ -184,17 +158,11 @@ def tree_diagram(tree) -> str:
             f'<rect x="{_fmt(cx - box_w / 2)}" y="{_fmt(cy - box_h / 2)}" '
             f'width="{box_w}" height="{box_h}" rx="4" fill="{fill}" stroke="#555"/>'
         )
-        line1 = f"{node.mean:.3f} (n={node.count})"
-        parts.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy - 2)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{line1}</text>'
-        )
+        parts.append(_text((cx, cy - 2), f'{_MIDDLE} font-size="11"',
+                           f"{node.mean:.3f} (n={node.count})"))
         if not node.is_leaf:
-            parts.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(cy + 13)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="9">{escape(node.rule.describe(names))}</text>'
-            )
+            parts.append(_text((cx, cy + 13), f'{_MIDDLE} font-size="9"',
+                               node.rule.describe(names)))
 
     draw(tree.root)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, (max(level.values()) + 1) * level_h + 40, parts)

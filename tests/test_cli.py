@@ -10,11 +10,19 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from epiforecast import cli
+from epiforecast import arima, cli
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def write_series(path, counts):
+    """A `date,cases` CSV of daily counts from 2020-03-01."""
+    start = dt.date(2020, 3, 1)
+    path.write_text("date,cases\n" + "".join(
+        f"{start + dt.timedelta(days=i)},{c}\n" for i, c in enumerate(counts)))
+    return path
 
 
 def read_csv(path):
@@ -191,6 +199,21 @@ class TestForecast:
         assert capsys.readouterr().err == f"forecast: {path}:{message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("error", [
+        arima.ConvergenceError("simplex failed to converge for p=0, q=0 after restart budget"),
+        ValueError("no usable sub-series"),
+    ], ids=["convergence", "value"])
+    def test_direct_wbf_failure_names_the_file(self, tmp_path, monkeypatch, capsys, error):
+        # stage 2 degrades on the same failure; the direct fit has no fallback
+        def fail(values):
+            raise error
+
+        monkeypatch.setattr(cli.wavelet, "wbf_fit", fail)
+        path = write_series(tmp_path / "flat.csv", [42] * 30)
+        assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"forecast: {path}: {error}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_rejected(self, data_dir, monkeypatch, capsys):
         # the forecast draws nothing at random, so it has no seed to take
         monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
@@ -261,6 +284,22 @@ def test_non_integer_config_value_names_file_and_line(tmp_path, data_dir, monkey
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, renderer",
+                         [("forecast", "line_chart"), ("risktree", "tree_diagram")])
+def test_failed_render_writes_nothing(tmp_path, data_dir, monkeypatch, capsys, command, renderer):
+    # every file is rendered before the first is written
+    def fail(*args, **kwargs):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(cli.svgplot, renderer, fail)
+    source = (write_series(tmp_path / "flat.csv", [42] * 30) if command == "forecast"
+              else data_dir / "cfr_countries.csv")
+    out = tmp_path / "o"
+    assert run_cli(command, str(source), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"{command}: cannot render\n"
+    assert not out.exists()
+
+
 # Series at the edges of what `forecast` accepts, each with the base order
 # (p, d, q) it selects. The AIC rule picks these as they are: ARIMA(4,0,2)
 # spends 7 coefficients on the 15 residuals of the length-20 quadratic.
@@ -270,6 +309,8 @@ DEGENERATE = {
     "spike": ([0] * 20 + [500] + [0] * 9, (2, 1, 0)),
     "length_20": ([i * i for i in range(20)], (4, 0, 2)),
     "about_1e9": ([1_000_000_000 + 37_000 * (i * 7919 % 101) for i in range(30)], (0, 0, 1)),
+    # the plot's value span, 5e-324, once underflowed to a zero tick step
+    "subnormal": (["0", "5e-324"] * 15, (0, 0, 0)),
 }
 
 
@@ -279,11 +320,15 @@ def test_degenerate_series_sweep(tmp_path, capsys, name):
     path = tmp_path / f"{name}.csv"
     days = [dt.date(2020, 3, 1) + dt.timedelta(days=i) for i in range(len(counts))]
     path.write_text("date,cases\n" + "".join(f"{d.isoformat()},{c}\n" for d, c in zip(days, counts)))
+    files = [f"{name}_forecast.csv", f"{name}_models.csv", f"{name}_fit.json", f"{name}_plot.svg"]
     runs = []
     for rerun in ("first", "second"):
         out = tmp_path / rerun
         assert run_cli("forecast", str(path), "--out", str(out)) == 0, capsys.readouterr().err
+        # every file, each path printed in this order
+        assert capsys.readouterr().out == "".join(f"{out / file}\n" for file in files)
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(runs[0]) == sorted(files)
     assert runs[0] == runs[1]
     for stem, columns in (("forecast", ("arima", "hybrid")), ("models", ("arima", "wbf", "hybrid"))):
         for row in read_csv(tmp_path / "first" / f"{name}_{stem}.csv"):

@@ -1,7 +1,12 @@
 """SVG renderer tests: the bytes of a fixed line chart and of the bundled
-risk tree's diagram, pinned by their sha256 digests."""
+risk tree's diagram, pinned by their sha256 digests, and charts of values
+at the edges of the float range."""
 
 import hashlib
+import math
+import xml.etree.ElementTree as ET
+
+import pytest
 
 from epiforecast import svgplot, tree
 
@@ -35,3 +40,23 @@ def test_tree_diagram_bytes(cfr_table):
     svg = svgplot.tree_diagram(tree.grow(cfr_table))
     assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="900" ')
     assert _sha256(svg) == "6368a8112d98f043392b760533d9fbaf24ef95347ef297b5d6af0645035c5a44"
+
+
+@pytest.mark.parametrize("values", [
+    [5e-324, 0.0],  # the padded span underflows to 0
+    [1.75e308, 1.0],  # the padded top overflows
+    [-1.75e308, 1.0],  # the padded bottom overflows
+    [-1e20, -1e20],  # one more unit is lost to rounding
+], ids=["underflow", "overflow-top", "overflow-bottom", "large-negative-constant"])
+def test_line_chart_renders_extreme_values(values):
+    svg = svgplot.line_chart([("actual", values)], title="t", x_labels=["a", "b"], vline_at=1)
+    root = ET.fromstring(svg)
+    numbers = [float(v) for el in root.iter() for k, v in el.attrib.items()
+               if k in ("x", "y", "x1", "y1", "x2", "y2")]
+    numbers += [float(label.text) for label in root.iter("{http://www.w3.org/2000/svg}text")
+                if label.get("text-anchor") == "end"]
+    assert len(numbers) > 20 and all(math.isfinite(v) for v in numbers)
+    # both points lie inside the plot area, between the top margin and the x axis
+    (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+    ys = [float(point.split(",")[1]) for point in polyline.get("points").split()]
+    assert len(ys) == 2 and all(34.0 <= y <= 374.0 for y in ys)

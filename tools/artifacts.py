@@ -6,9 +6,11 @@ Run it in two checkouts, then compare them with `diff -r OUT_A OUT_B`. It
 runs the `epiforecast` CLI of the checkout it lives in, in one process, and
 writes:
 
-- `series/`: the bundled datasets, and `long.csv`, the first 990 days of
-  the benchmark's seed-0 long series (`bench/inputs.long_series`);
-- `forecast/<name>/`: `forecast` on each of those series;
+- `series/`: the bundled datasets, `long_full.csv`, the benchmark's seed-0
+  long series of 1000 days (`bench/inputs.long_series`), and `long.csv`,
+  its first 990 days;
+- `forecast/<name>/`: `forecast` on each series but `long_full`;
+- `eval/eval.json`: `eval` of the `long` forecast against `long_full.csv`;
 - `risktree/seed<S>/` and `risktree/seed<S>_minsplit5/`: `risktree` on the
   bundled CFR table for fold seeds 0-34, with the default minsplit and with
   `--minsplit 5`.
@@ -47,11 +49,14 @@ def main() -> None:
     out = parser.parse_args().out
     series = out / "series"
     run("fetch", "all", "--out", series)
-    counts = long_series(np.random.default_rng(0), LONG_DAYS)[:-HORIZON]
+    counts = long_series(np.random.default_rng(0), LONG_DAYS)
     rows = [f"{LONG_START + dt.timedelta(days=i)},{int(c)}" for i, c in enumerate(counts)]
-    (series / "long.csv").write_text("date,cases\n" + "\n".join(rows) + "\n")
+    (series / "long_full.csv").write_text("date,cases\n" + "\n".join(rows) + "\n")
+    (series / "long.csv").write_text("date,cases\n" + "\n".join(rows[:-HORIZON]) + "\n")
     for name in [*datasets.BUNDLED_SERIES, "long"]:
         run("forecast", series / f"{name}.csv", "--out", out / "forecast" / name)
+    run("eval", series / "long_full.csv", out / "forecast" / "long" / "long_forecast.csv",
+        "--out", out / "eval")
     table = series / f"{datasets.CFR_TABLE}.csv"
     for seed in FOLD_SEEDS:
         run("risktree", table, "--seed", seed, "--out", out / "risktree" / f"seed{seed}")
