@@ -317,9 +317,7 @@ DEGENERATE = {
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_series_sweep(tmp_path, capsys, name):
     counts, order = DEGENERATE[name]
-    path = tmp_path / f"{name}.csv"
-    days = [dt.date(2020, 3, 1) + dt.timedelta(days=i) for i in range(len(counts))]
-    path.write_text("date,cases\n" + "".join(f"{d.isoformat()},{c}\n" for d, c in zip(days, counts)))
+    path = write_series(tmp_path / f"{name}.csv", counts)
     files = [f"{name}_forecast.csv", f"{name}_models.csv", f"{name}_fit.json", f"{name}_plot.svg"]
     runs = []
     for rerun in ("first", "second"):
