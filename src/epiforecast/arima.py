@@ -54,6 +54,7 @@ MAX_D = 2
 MAX_Q = 5
 
 _ROOT_MARGIN = 1e-3
+_REFLECTION_LIMIT = 1.0 - _ROOT_MARGIN
 # selection refuses candidates whose fitted roots crowd the unit circle;
 # such optima are boundary artifacts, not identifiable dynamics
 _SELECTION_MIN_ROOT = 1.01
@@ -105,10 +106,9 @@ class ArimaFit:
     bic: float
     loglik: float
     transform: TransformSpec
-    n_obs: int
     k_params: int
     transformed: np.ndarray = field(repr=False)
-    min_root_modulus: float = float("inf")
+    min_root_modulus: float
 
     @property
     def fitted(self) -> np.ndarray:
@@ -149,7 +149,6 @@ class ArimaFit:
             "bic": float(self.bic),
             "loglik": float(self.loglik),
             "transform": self.transform.kind,
-            "n_obs": self.n_obs,
         }
 
 
@@ -163,12 +162,12 @@ def _min_root_modulus(coeffs: np.ndarray) -> float:
     return float(np.abs(np.roots(poly)).min())
 
 
-def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
+def _stability_violation(coeffs) -> float:
     """Schur-Cohn step-down check for 1 - c_1 z - ... - c_k z^k.
 
-    Zero iff every reflection coefficient stays below `limit` in magnitude,
-    which keeps all polynomial roots strictly outside the unit circle;
-    otherwise a positive penalty that grows with the excess.
+    Zero iff every reflection coefficient stays below `_REFLECTION_LIMIT`
+    in magnitude, which keeps all polynomial roots strictly outside the unit
+    circle; otherwise a positive penalty that grows with the excess.
 
     `coeffs` is a list of floats. A step-down maps S = sum|c| to at most
     (S - |k|) / (1 - |k|) <= S, so every reflection coefficient is bounded
@@ -180,8 +179,8 @@ def _stability_violation(coeffs, limit: float = 1.0 - _ROOT_MARGIN) -> float:
     n = len(a)
     k = a[-1] if n else 0.0
     while n:
-        if not abs(k) < limit:
-            return abs(k) - limit + 1e-9 if math.isfinite(k) else 1e6
+        if not abs(k) < _REFLECTION_LIMIT:
+            return abs(k) - _REFLECTION_LIMIT + 1e-9 if math.isfinite(k) else 1e6
         n -= 1
         if n == 1:
             # the last level has one coefficient: no list to build
@@ -218,8 +217,9 @@ def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int = 0):
     return np.ones((len(rows), 1)), rows, where, np.zeros(rows.shape)
 
 
-# Not merged with `_objective`: the residuals would match bit for bit, but
-# the shared helper makes every objective evaluation slower (ROADMAP item 5).
+# Not merged with `_objective`: the residuals would match bit for bit, but the
+# shared helper makes every objective evaluation slower (ROADMAP, "Measured
+# and not pursued").
 def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
     coef, rows, where, out = _ar_terms(w, len(phi), True)
@@ -438,7 +438,6 @@ def fit_arima(
         bic=bic,
         loglik=loglik,
         transform=transform,
-        n_obs=len(values),
         k_params=k,
         transformed=z,
         min_root_modulus=min_root,

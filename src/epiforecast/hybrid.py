@@ -3,7 +3,7 @@ forecasts combined additively."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ class HybridFit:
     residual_level: np.ndarray
     residual_fitted: np.ndarray
     fitted_values: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def to_dict(self) -> dict:
         return {
@@ -78,8 +78,6 @@ def fit_hybrid(s: TimeSeries, *, order: arima.ArimaOrder | None = None) -> Hybri
 
 
 def forecast_components(fit: HybridFit, h: int) -> HybridForecast:
-    if h < 1:
-        raise ValueError(f"forecast horizon must be positive, got {h}")
     base = arima.forecast_arima(fit.base, h)
     if fit.residual_model is not None:
         residual = wavelet.wbf_forecast(fit.residual_model, h)

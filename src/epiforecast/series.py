@@ -140,8 +140,6 @@ def acf(values, max_lag: int) -> np.ndarray:
 class AdfResult:
     statistic: float
     reject_unit_root: bool
-    lag_order: int
-    critical_value_5pct: float
 
 
 def adf_test(values) -> AdfResult:
@@ -156,12 +154,7 @@ def adf_test(values) -> AdfResult:
     if n < 20:
         raise ValueError(f"adf test needs at least 20 observations, got {n}")
     if np.ptp(values) <= 1e-12 * max(1.0, abs(values[0])):
-        return AdfResult(
-            statistic=float("-inf"),
-            reject_unit_root=True,
-            lag_order=0,
-            critical_value_5pct=_df_critical(n - 1),
-        )
+        return AdfResult(statistic=float("-inf"), reject_unit_root=True)
 
     k = int(np.floor((n - 1) ** (1.0 / 3.0)))
     dy = np.diff(values)
@@ -179,9 +172,8 @@ def adf_test(values) -> AdfResult:
     lhs = lhs - lhs.mean()
     beta, _, _, _ = np.linalg.lstsq(design, lhs, rcond=None)
     resid = lhs - design @ beta
+    # rows > k + 3 leaves dof = rows - k - 2 >= 2
     dof = rows - design.shape[1] - 1
-    if dof <= 0:
-        raise ValueError("series too short for the chosen lag order")
     sigma2 = float(resid @ resid) / dof
     _, r_mat = np.linalg.qr(design)
     r_inv_row = np.linalg.solve(r_mat.T, np.eye(design.shape[1])[:, 0])
@@ -190,13 +182,7 @@ def adf_test(values) -> AdfResult:
         stat = float("-inf")
     else:
         stat = float(beta[0] / se)
-    crit = _df_critical(rows)
-    return AdfResult(
-        statistic=stat,
-        reject_unit_root=stat < crit,
-        lag_order=k,
-        critical_value_5pct=crit,
-    )
+    return AdfResult(statistic=stat, reject_unit_root=stat < _df_critical(rows))
 
 
 def _df_critical(n_eff: int) -> float:

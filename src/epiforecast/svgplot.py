@@ -50,15 +50,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         step = mult * mag
         if step >= raw:
             break
-    start = math.ceil(lo / step) * step
-    # capped, since a step that is an int never overflows to end the loop
-    end = min(hi + 1e-9 * step, _MAX)
-    ticks = []
-    t = start
-    while t <= end:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
+    # whole multiples of the step, so that no tick inherits a running sum's error
+    return [k * step for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def line_chart(

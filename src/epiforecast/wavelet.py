@@ -4,7 +4,7 @@ wavelet-domain forecaster built on it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +75,8 @@ class WbfFit:
     """Per-sub-series ARIMA fits over a wavelet decomposition."""
 
     levels: int
-    n_obs: int
     sub_fits: list[arima.ArimaFit]
-    fallbacks: list[int] = field(default_factory=list)
+    fallbacks: list[int]
 
     def sub_series_names(self) -> list[str]:
         return [f"detail_{j}" for j in range(1, self.levels + 1)] + ["smooth"]
@@ -89,7 +88,6 @@ class WbfFit:
     def to_dict(self) -> dict:
         return {
             "levels": self.levels,
-            "n_obs": self.n_obs,
             "sub_models": {
                 name: fit.to_dict()
                 for name, fit in zip(self.sub_series_names(), self.sub_fits)
@@ -144,18 +142,9 @@ def wbf_fit(values) -> WbfFit:
             fallbacks.append(i)
             fit = arima.fit_arima(sub, arima.ArimaOrder(0, 0, 0), NO_TRANSFORM)
         fits.append(fit)
-    return WbfFit(levels=levels, n_obs=len(x), sub_fits=fits, fallbacks=fallbacks)
+    return WbfFit(levels=levels, sub_fits=fits, fallbacks=fallbacks)
 
 
 def wbf_forecast(fit: WbfFit, h: int) -> np.ndarray:
     """Sum of the h-step forecasts of every sub-series model."""
-    if h < 1:
-        raise ValueError(f"forecast horizon must be positive, got {h}")
-    per_sub = wbf_forecast_components(fit, h)
-    return per_sub.sum(axis=0)
-
-
-def wbf_forecast_components(fit: WbfFit, h: int) -> np.ndarray:
-    """Per-sub-series forecasts, one row per sub-series (details then smooth)."""
-    return np.vstack([arima.forecast_transformed(f, h) for f in fit.sub_fits])
-
+    return np.vstack([arima.forecast_transformed(f, h) for f in fit.sub_fits]).sum(axis=0)

@@ -94,6 +94,19 @@ class TestForecast:
         # plot must be well-formed XML
         ET.fromstring((india_run / "india_plot.svg").read_text())
 
+    def test_fit_json_holds_series_length_once(self, india_run, data_dir):
+        def n_obs_paths(node, path=()):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, value in items:
+                if key == "n_obs":
+                    yield path + (key,)
+                yield from n_obs_paths(value, path + (key,))
+
+        payload = json.loads((india_run / "india_fit.json").read_text())
+        assert list(n_obs_paths(payload)) == [("n_obs",)]
+        assert payload["n_obs"] == len(read_csv(data_dir / "india.csv"))
+
     def test_constant_series(self, tmp_path):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"2020-03-{i + 1:02d},7" for i in range(25))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from epiforecast import hybrid, metrics
+from epiforecast import arima, hybrid, metrics, wavelet
 from epiforecast.arima import ArimaOrder
 
 from conftest import make_series
@@ -102,3 +102,23 @@ class TestForecast:
     def test_invalid_horizon(self, country_hybrids):
         with pytest.raises(ValueError, match="horizon"):
             hybrid.forecast_hybrid(country_hybrids["india"], 0)
+
+    # `arima.forecast_transformed` holds the one horizon check that every
+    # public forecast path reaches
+    @pytest.mark.parametrize("h", [0, -1])
+    @pytest.mark.parametrize("forecast,model", [
+        (arima.forecast_transformed, "base"),
+        (arima.forecast_arima, "base"),
+        (wavelet.wbf_forecast, "residual_model"),
+        (hybrid.forecast_components, None),
+        (hybrid.forecast_hybrid, None),
+    ], ids=["forecast_transformed", "forecast_arima", "wbf_forecast", "forecast_components",
+            "forecast_hybrid"])
+    def test_bad_horizon_message(self, country_hybrids, forecast, model, h):
+        fit = country_hybrids["india"]
+        if model:
+            fit = getattr(fit, model)
+        assert fit is not None
+        with pytest.raises(ValueError) as excinfo:
+            forecast(fit, h)
+        assert str(excinfo.value) == f"forecast horizon must be positive, got {h}"

@@ -47,14 +47,17 @@ def test_tree_diagram_bytes(cfr_table):
     [1.75e308, 1.0],  # the padded top overflows
     [-1.75e308, 1.0],  # the padded bottom overflows
     [-1e20, -1e20],  # one more unit is lost to rounding
-], ids=["underflow", "overflow-top", "overflow-bottom", "large-negative-constant"])
+    [1e-11, 5e-12],  # ticks rounded to 10 decimals would all read 0
+], ids=["underflow", "overflow-top", "overflow-bottom", "large-negative-constant", "tiny-span"])
 def test_line_chart_renders_extreme_values(values):
     svg = svgplot.line_chart([("actual", values)], title="t", x_labels=["a", "b"], vline_at=1)
     root = ET.fromstring(svg)
     numbers = [float(v) for el in root.iter() for k, v in el.attrib.items()
                if k in ("x", "y", "x1", "y1", "x2", "y2")]
-    numbers += [float(label.text) for label in root.iter("{http://www.w3.org/2000/svg}text")
-                if label.get("text-anchor") == "end"]
+    tick_labels = [label.text for label in root.iter("{http://www.w3.org/2000/svg}text")
+                   if label.get("text-anchor") == "end"]
+    assert len(set(tick_labels)) == len(tick_labels) >= 2
+    numbers += [float(label) for label in tick_labels]
     assert len(numbers) > 20 and all(math.isfinite(v) for v in numbers)
     # both points lie inside the plot area, between the top margin and the x axis
     (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")

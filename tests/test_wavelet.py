@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from epiforecast import arima, wavelet
+from epiforecast import arima
 from epiforecast.wavelet import (
     decomposition_level,
     imodwt,
@@ -89,7 +89,7 @@ class TestWbf:
     def test_forecast_sums_sub_series(self):
         rng = np.random.default_rng(7)
         fit = wbf_fit(rng.normal(size=32) * 3)
-        per_sub = wavelet.wbf_forecast_components(fit, 5)
+        per_sub = np.vstack([arima.forecast_transformed(f, 5) for f in fit.sub_fits])
         assert per_sub.shape == (fit.levels + 1, 5)
         np.testing.assert_array_equal(wbf_forecast(fit, 5), per_sub.sum(axis=0))
 
