@@ -67,7 +67,9 @@ def load_cfr_csv(path) -> tree.Table:
             raise ValueError(f"{path}: missing required columns: {', '.join(missing)}")
         rows = []
         responses = []
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
+            # DictReader skips blank lines; line_num still counts them
+            lineno = reader.line_num
             row = []
             for name, kind in CFR_COLUMNS:
                 try:

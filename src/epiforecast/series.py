@@ -187,7 +187,7 @@ def adf_test(values) -> AdfResult:
 
 def _df_critical(n_eff: int) -> float:
     b0, b1, b2, b3 = _DF_CRIT_5PCT
-    n = float(max(n_eff, 1))
+    n = float(n_eff)
     return b0 + b1 / n + b2 / n**2 + b3 / n**3
 
 

@@ -176,52 +176,66 @@ class RegressionTree:
 
 
 def _sse(values: np.ndarray) -> float:
-    return float(np.sum((values - values.mean()) ** 2))
+    # the sums and the division of `ndarray.mean` and `np.sum`, minus their
+    # wrappers, so the value is theirs bit for bit
+    centred = values - np.add.reduce(values) / len(values)
+    return float(np.add.reduce(centred * centred))
 
 
-def _subset_cuts(col: np.ndarray):
-    """Every cut of one categorical variable as (tie-break key, left mask,
-    left levels): the proper subsets in canonical order, each partition listed
-    once with the lowest level pinned to the left side, keyed by the subset's
-    bit pattern."""
+def _subset_masks(col: np.ndarray) -> tuple[list[frozenset], np.ndarray]:
+    """Every cut of one categorical variable: the proper subsets of its
+    levels in canonical order, each partition listed once with the lowest
+    level pinned to the left side, so a subset's index is its bit pattern;
+    and a (cuts, rows) mask of each subset's left rows, the OR of its levels'
+    masks."""
     levels = sorted(set(col.tolist()))
-    rest = levels[1:]
     # the last bit pattern puts every level on the left
-    for bits in range(2 ** len(rest) - 1):
-        left = frozenset([levels[0]] + [v for i, v in enumerate(rest) if bits >> i & 1])
-        yield float(bits), np.isin(col, list(left)), left
+    bits = np.arange(2 ** (len(levels) - 1) - 1)
+    picks = ((2 * bits[:, None] + 1) >> np.arange(len(levels)) & 1).astype(bool)
+    subsets = [frozenset(v for v, on in zip(levels, pick) if on) for pick in picks]
+    return subsets, picks @ (col == np.array(levels)[:, None])
 
 
-def _sorted_cuts(col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable row order, thresholds and left counts of every cut of one
-    numeric variable.
+def _numeric_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stable row order of each column of `block`, and the column, threshold
+    and left count of every cut of every column, by column then threshold.
 
-    Cuts lie midway between sorted distinct values. Rows sorted by the
-    variable (NaN last) put the left side of each cut, `col < threshold`, on
-    a prefix of that order: its length counts the values below the threshold,
-    and is 0 for a NaN threshold, which no value is below. `grow` refuses NaN
-    values, so in a grown tree a NaN threshold comes only from -inf next to
-    inf; `best_split` on its own also takes NaN values, and one gives a NaN
-    threshold too.
+    Cuts lie midway between a column's sorted distinct values, NaN pairs
+    counting as one value as in `np.unique`. Rows sorted by the column (NaN
+    last) put the left side of each cut, `col < threshold`, on a prefix of
+    that order: its length counts the values below the threshold. That is
+    one past the lower neighbour unless the midpoint rounds onto it
+    (adjacent doubles) or overflows to +-inf, and 0 for a NaN threshold,
+    which no value is below. `grow` refuses NaN values, so in a grown tree a
+    NaN threshold comes only from -inf next to inf; `best_split` on its own
+    also takes NaN values, and one gives a NaN threshold too.
     """
-    order = np.argsort(col, kind="stable")
-    distinct = np.unique(col)
-    thresholds = (distinct[:-1] + distinct[1:]) / 2.0
-    n_left = np.searchsorted(col[order], thresholds, side="left")
-    n_left[np.isnan(thresholds)] = 0
-    return order, thresholds, n_left
+    order = np.argsort(block, axis=0, kind="stable")
+    ranked = np.take_along_axis(block, order, axis=0)
+    lower, upper = ranked[:-1], ranked[1:]
+    cut_col, pos = np.nonzero(((lower != upper) & ~np.isnan(lower)).T)
+    below, above = lower[pos, cut_col], upper[pos, cut_col]
+    # midpoints at cuts only: between repeats of a huge value they overflow
+    thresholds = (below + above) / 2.0
+    n_left = pos + 1
+    for i in np.flatnonzero(~((below < thresholds) & (thresholds <= above))):
+        t = thresholds[i]
+        n_left[i] = 0 if np.isnan(t) else np.searchsorted(ranked[:, cut_col[i]], t)
+    return order, cut_col, thresholds, n_left
 
 
 def _shortlist_margin(y: np.ndarray, centred: np.ndarray, parent_sse: float) -> float:
-    """Twice a bound on how far the prefix-sum reduction of a cut and its
+    """Twice a bound on how far the approximate reduction of a cut and its
     brute-force reduction can each lie from the exact one.
 
     With g = (n + 4) eps, M = max|y| and A = sum|y - mean|: mean rounding
     biases each `_sse` by at most B = n (g M)^2, so the exact parent SSE is
     below P = (1 + g)(parent_sse + 2B); the brute-force reduction is off by at
-    most 3gP + 4B; the centred prefix difference D is off by at most
-    E = 2gA, and the prefix reduction n D^2 / (k (n - k)) by at most
-    4 sqrt(2P) E + 4E^2 + gP.
+    most 3gP + 4B. The difference D between a cut's left sum of the centred
+    response and k/n of its total, from prefix sums (numeric) or a sum over
+    the left rows (categorical), adds at most n centred terms either way, so
+    it is off by at most E = 2gA, and the approximate reduction
+    n D^2 / (k (n - k)) by at most 4 sqrt(2P) E + 4E^2 + gP.
     """
     g = (len(y) + 4) * np.finfo(float).eps
     bias = len(y) * (g * float(np.max(np.abs(y), initial=0.0))) ** 2
@@ -237,10 +251,11 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     (numeric) or the canonical subset order (categorical). Returns None when
     no admissible split reduces the parent SSE.
 
-    One sorted scan per numeric variable gives every cut's reduction from
-    prefix sums of the centred response. Those values only shortlist the cuts
-    within `_shortlist_margin` of the best; each shortlisted cut, and every
-    categorical cut, is then scored exactly as brute force scores it, so the
+    One sort of the node's numeric columns gives every numeric cut's
+    reduction from prefix sums of the centred response, and one sum over
+    each subset's left rows every categorical cut's. Those values only
+    shortlist the cuts within `_shortlist_margin` of the best; each
+    shortlisted cut is then scored exactly as brute force scores it, so the
     winner and its reduction are the brute-force ones.
     """
     y = table.y[rows]
@@ -250,47 +265,53 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     tol = parent_sse * REDUCTION_TOL_REL
     n = len(rows)
     centred = y - y.mean()
-    scans = {}
-    best_approx = -np.inf
-    for var in range(table.n_vars):
-        if table.kinds[var] != NUMERIC:
-            continue
-        order, thresholds, n_left = _sorted_cuts(table.x[rows, var])
-        prefix = np.concatenate(([0.0], np.cumsum(centred[order])))
-        diff = prefix[n_left] - prefix[-1] * (n_left / n)
-        # at k = 0 or k = n the difference is exactly 0, and so is approx
-        approx = n * diff**2 / np.maximum(n_left * (n - n_left), 1)
-        admissible = (n_left >= minbucket) & (n - n_left >= minbucket)
-        best_approx = max(best_approx, np.max(approx[admissible], initial=-np.inf))
-        scans[var] = thresholds, approx, admissible
-    floor = best_approx - _shortlist_margin(y, centred, parent_sse)
+    numeric = [var for var, kind in enumerate(table.kinds) if kind == NUMERIC]
+    order, cut_col, thresholds, n_left = _numeric_cuts(table.x[np.ix_(rows, numeric)])
+    prefix = np.zeros((n + 1, len(numeric)))
+    np.cumsum(centred[order], axis=0, out=prefix[1:])
+    diffs = [prefix[n_left, cut_col] - prefix[-1, cut_col] * (n_left / n)]
+    counts = [n_left]
+    subsets = []
+    total = np.add.reduce(centred)
+    for var, kind in enumerate(table.kinds):
+        if kind == CATEGORICAL:
+            levels, masks = _subset_masks(table.x[rows, var])
+            k = np.count_nonzero(masks, axis=1)
+            diffs.append(np.add.reduce(np.where(masks, centred, 0.0), axis=1) - total * (k / n))
+            counts.append(k)
+            subsets += [(var, float(bits), left, mask)
+                        for bits, (left, mask) in enumerate(zip(levels, masks))]
+    diff, k = np.concatenate(diffs), np.concatenate(counts)
+    # at k = 0 or k = n a numeric difference is exactly 0, and so is approx
+    approx = n * diff**2 / np.maximum(k * (n - k), 1)
+    admissible = (k >= minbucket) & (n - k >= minbucket)
+    floor = np.max(approx[admissible], initial=-np.inf) - _shortlist_margin(y, centred, parent_sse)
     if not math.isfinite(floor):
         # non-finite data or overflow: no bound holds, so score every cut
         floor = -math.inf
+    kept = admissible & ~(approx < floor)
 
+    numeric_kept = kept[:len(thresholds)]
+    shortlist = [(numeric[col], cut, None, None) for col, cut in
+                 zip(cut_col[numeric_kept].tolist(), thresholds[numeric_kept].tolist())]
+    shortlist += [cut for cut, keep in zip(subsets, kept[len(thresholds):]) if keep]
+    # stable: each variable's cuts keep their order, so unordered (NaN)
+    # keys resolve as brute force resolves them
+    shortlist.sort(key=lambda cut: cut[0])
     best_key = None
     best_levels = None
-    for var in range(table.n_vars):
-        col = table.x[rows, var]
-        if var in scans:
-            thresholds, approx, admissible = scans[var]
-            kept = thresholds[admissible & ~(approx < floor)]
+    for var, cut, levels, mask in shortlist:
+        if mask is None:
             # scored on original-row-order subsets, so that exact ties
             # resolve identically no matter how the data is arranged
-            cuts = ((cut, col < cut, None) for cut in kept)
-        else:
-            cuts = _subset_cuts(col)
-        for cut, mask, levels in cuts:
-            n_left = int(mask.sum())
-            if n_left < minbucket or n - n_left < minbucket:
-                continue
-            reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
-            if reduction <= tol:
-                continue
-            key = (-reduction, var, cut)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_levels = levels
+            mask = table.x[rows, var] < cut
+        reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
+        if reduction <= tol:
+            continue
+        key = (-reduction, var, cut)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_levels = levels
     if best_key is None:
         return None
     neg_reduction, var, cut = best_key
@@ -491,16 +512,13 @@ def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_lef
     n = len(rows)
     col = table.x[rows, var]
     if table.kinds[var] == NUMERIC:
-        order, _, n_left = _sorted_cuts(col)
-        went_prefix = np.concatenate(([0], np.cumsum(went_left[order])))
+        order, _, _, n_left = _numeric_cuts(col[:, None])
+        went_prefix = np.concatenate(([0], np.cumsum(went_left[order[:, 0]])))
         # rows agreeing: primary-left rows on the cut's left side plus
         # primary-right rows on its right side
         agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]
-        best = int(np.max(np.maximum(agree, n - agree), initial=0))
     else:
-        best = max(
-            (max(int((mask == went_left).sum()), int((mask != went_left).sum()))
-             for _, mask, _ in _subset_cuts(col)),
-            default=0,
-        )
+        _, masks = _subset_masks(col)
+        agree = np.count_nonzero(masks == went_left, axis=1)
+    best = int(np.max(np.maximum(agree, n - agree), initial=0))
     return best / n

@@ -426,6 +426,18 @@ class TestRisktree:
         assert "population_millions" in err
         assert not (tmp_path / "o").exists()
 
+    def test_bad_value_names_its_line_after_a_blank_line(self, tmp_path, data_dir, capsys):
+        lines = (data_dir / "cfr_countries.csv").read_text().splitlines()[:6]
+        # a blank line after data row 3 moves data rows 4 and 5 to lines 6 and 7
+        lines.insert(4, "")
+        fields = lines[6].split(",")
+        fields[1] = "many"
+        lines[6] = ",".join(fields)
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("risktree", str(path), "--out", str(tmp_path / "o")) == 1
+        assert f"{path}:7: column total_cases_thousands: not a number: 'many'" in capsys.readouterr().err
+
     def test_negative_seed_flag_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
         monkeypatch.setattr(cli.tree, "cross_validate", _must_not_fit)
         out = tmp_path / "o"
