@@ -68,8 +68,7 @@ def load_cfr_csv(path) -> tree.Table:
         rows = []
         responses = []
         for record in reader:
-            # DictReader skips blank lines; line_num still counts them
-            lineno = reader.line_num
+            lineno = reader.line_num  # counts the blank lines DictReader skips
             row = []
             for name, kind in CFR_COLUMNS:
                 try:

@@ -176,39 +176,40 @@ class RegressionTree:
 
 
 def _sse(values: np.ndarray) -> float:
-    # the sums and the division of `ndarray.mean` and `np.sum`, minus their
-    # wrappers, so the value is theirs bit for bit
+    # the arithmetic of `ndarray.mean` and `np.sum`, without their wrappers
     centred = values - np.add.reduce(values) / len(values)
     return float(np.add.reduce(centred * centred))
 
 
-def _subset_masks(col: np.ndarray) -> tuple[list[frozenset], np.ndarray]:
-    """Every cut of one categorical variable: the proper subsets of its
-    levels in canonical order, each partition listed once with the lowest
-    level pinned to the left side, so a subset's index is its bit pattern;
-    and a (cuts, rows) mask of each subset's left rows, the OR of its levels'
-    masks."""
+def _level_masks(col: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The sorted levels of a categorical column, and each level's row mask."""
     levels = sorted(set(col.tolist()))
+    return levels, col == np.array(levels)[:, None]
+
+
+def _subset_sums(per_level: np.ndarray) -> np.ndarray:
+    """Sum of `per_level` over the left levels of every cut of a categorical
+    variable: the proper subsets of its levels in canonical order, each
+    partition listed once with the lowest level pinned to the left side, so
+    a subset's index is its bit pattern over the other levels."""
+    sums = per_level[:1]
+    for value in per_level[1:]:
+        sums = np.concatenate((sums, sums + value))
     # the last bit pattern puts every level on the left
-    bits = np.arange(2 ** (len(levels) - 1) - 1)
-    picks = ((2 * bits[:, None] + 1) >> np.arange(len(levels)) & 1).astype(bool)
-    subsets = [frozenset(v for v, on in zip(levels, pick) if on) for pick in picks]
-    return subsets, picks @ (col == np.array(levels)[:, None])
+    return sums[:-1]
 
 
 def _numeric_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stable row order of each column of `block`, and the column, threshold
     and left count of every cut of every column, by column then threshold.
 
-    Cuts lie midway between a column's sorted distinct values, NaN pairs
-    counting as one value as in `np.unique`. Rows sorted by the column (NaN
-    last) put the left side of each cut, `col < threshold`, on a prefix of
-    that order: its length counts the values below the threshold. That is
-    one past the lower neighbour unless the midpoint rounds onto it
-    (adjacent doubles) or overflows to +-inf, and 0 for a NaN threshold,
-    which no value is below. `grow` refuses NaN values, so in a grown tree a
-    NaN threshold comes only from -inf next to inf; `best_split` on its own
-    also takes NaN values, and one gives a NaN threshold too.
+    Cuts lie midway between a column's sorted distinct values (NaN pairs are
+    one value, as in `np.unique`). Rows sorted by the column, NaN last, put
+    the left side of a cut, `col < threshold`, on a prefix of that order. Its
+    length, the count of values below the threshold, is one past the lower
+    neighbour unless the midpoint rounds onto it (adjacent doubles) or
+    overflows to +-inf, and 0 for a NaN threshold (from a NaN value, or -inf
+    next to inf: `grow` refuses NaN values, `best_split` does not).
     """
     order = np.argsort(block, axis=0, kind="stable")
     ranked = np.take_along_axis(block, order, axis=0)
@@ -232,9 +233,9 @@ def _shortlist_margin(y: np.ndarray, centred: np.ndarray, parent_sse: float) -> 
     biases each `_sse` by at most B = n (g M)^2, so the exact parent SSE is
     below P = (1 + g)(parent_sse + 2B); the brute-force reduction is off by at
     most 3gP + 4B. The difference D between a cut's left sum of the centred
-    response and k/n of its total, from prefix sums (numeric) or a sum over
-    the left rows (categorical), adds at most n centred terms either way, so
-    it is off by at most E = 2gA, and the approximate reduction
+    response and k/n of its total, from prefix sums (numeric) or from sums
+    of per-level sums (categorical), adds at most n centred terms either
+    way, so it is off by at most E = 2gA, and the approximate reduction
     n D^2 / (k (n - k)) by at most 4 sqrt(2P) E + 4E^2 + gP.
     """
     g = (len(y) + 4) * np.finfo(float).eps
@@ -252,11 +253,11 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     no admissible split reduces the parent SSE.
 
     One sort of the node's numeric columns gives every numeric cut's
-    reduction from prefix sums of the centred response, and one sum over
-    each subset's left rows every categorical cut's. Those values only
-    shortlist the cuts within `_shortlist_margin` of the best; each
-    shortlisted cut is then scored exactly as brute force scores it, so the
-    winner and its reduction are the brute-force ones.
+    reduction from prefix sums of the centred response, and per-level sums
+    give every categorical cut's. Those values only shortlist the cuts
+    within `_shortlist_margin` of the best; each shortlisted cut is then
+    scored exactly as brute force scores it, so the winner and its
+    reduction are the brute-force ones.
     """
     y = table.y[rows]
     parent_sse = _sse(y)
@@ -271,16 +272,16 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     np.cumsum(centred[order], axis=0, out=prefix[1:])
     diffs = [prefix[n_left, cut_col] - prefix[-1, cut_col] * (n_left / n)]
     counts = [n_left]
-    subsets = []
+    categorical = []
     total = np.add.reduce(centred)
     for var, kind in enumerate(table.kinds):
         if kind == CATEGORICAL:
-            levels, masks = _subset_masks(table.x[rows, var])
-            k = np.count_nonzero(masks, axis=1)
-            diffs.append(np.add.reduce(np.where(masks, centred, 0.0), axis=1) - total * (k / n))
+            levels, on = _level_masks(table.x[rows, var])
+            k = _subset_sums(np.count_nonzero(on, axis=1))
+            left_sums = _subset_sums(np.add.reduce(np.where(on, centred, 0.0), axis=1))
+            diffs.append(left_sums - total * (k / n))
             counts.append(k)
-            subsets += [(var, float(bits), left, mask)
-                        for bits, (left, mask) in enumerate(zip(levels, masks))]
+            categorical.append((var, levels, on))
     diff, k = np.concatenate(diffs), np.concatenate(counts)
     # at k = 0 or k = n a numeric difference is exactly 0, and so is approx
     approx = n * diff**2 / np.maximum(k * (n - k), 1)
@@ -289,22 +290,23 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     if not math.isfinite(floor):
         # non-finite data or overflow: no bound holds, so score every cut
         floor = -math.inf
-    kept = admissible & ~(approx < floor)
+    kept = np.split(admissible & ~(approx < floor), np.cumsum([len(c) for c in counts[:-1]]))
 
-    numeric_kept = kept[:len(thresholds)]
-    shortlist = [(numeric[col], cut, None, None) for col, cut in
-                 zip(cut_col[numeric_kept].tolist(), thresholds[numeric_kept].tolist())]
-    shortlist += [cut for cut, keep in zip(subsets, kept[len(thresholds):]) if keep]
+    # numeric cuts are scored on original-row-order subsets, so that exact
+    # ties resolve identically no matter how the data is arranged
+    shortlist = [(numeric[col], cut, None, table.x[rows, numeric[col]] < cut) for col, cut in
+                 zip(cut_col[kept[0]].tolist(), thresholds[kept[0]].tolist())]
+    for (var, levels, on), keep in zip(categorical, kept[1:]):
+        for bits in np.flatnonzero(keep):
+            # the lowest level, those of the set bits, and the OR of their masks
+            picked = [0] + [i + 1 for i in range(len(levels) - 1) if bits >> i & 1]
+            left = frozenset(levels[i] for i in picked)
+            shortlist.append((var, float(bits), left, on[picked].any(axis=0)))
     # stable: each variable's cuts keep their order, so unordered (NaN)
     # keys resolve as brute force resolves them
     shortlist.sort(key=lambda cut: cut[0])
-    best_key = None
-    best_levels = None
+    best_key = best_levels = None
     for var, cut, levels, mask in shortlist:
-        if mask is None:
-            # scored on original-row-order subsets, so that exact ties
-            # resolve identically no matter how the data is arranged
-            mask = table.x[rows, var] < cut
         reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
         if reduction <= tol:
             continue
@@ -518,7 +520,9 @@ def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_lef
         # primary-right rows on its right side
         agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]
     else:
-        _, masks = _subset_masks(col)
-        agree = np.count_nonzero(masks == went_left, axis=1)
+        _, on = _level_masks(col)
+        # a subset agrees on its levels' primary-left rows and on every
+        # primary-right row outside them
+        agree = _subset_sums(on @ np.where(went_left, 1, -1)) + n - np.count_nonzero(went_left)
     best = int(np.max(np.maximum(agree, n - agree), initial=0))
     return best / n
