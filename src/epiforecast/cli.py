@@ -42,8 +42,8 @@ _CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int,
 
 
 def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
-    """Flat key=value text; '#' starts a comment. Unknown keys are rejected,
-    and so are keys naming an option `command` has no flag for."""
+    """Flat key=value text; '#' starts a comment. Unknown keys, repeated keys
+    and keys naming an option `command` has no flag for are rejected."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -59,6 +59,8 @@ def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_K
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
             if key not in flags:
                 raise ValueError(f"{path}:{lineno}: option {key!r} does not apply to {command}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate option {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](text)
             except ValueError as exc:
@@ -155,8 +157,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_risktree(args) -> int:
     table = datasets.load_cfr_csv(args.input)
-    minsplit = args.minsplit if args.minsplit is not None else tree.default_minsplit(table.n)
-    cv = tree.cross_validate(table, minsplit=minsplit, folds=args.folds, seed=args.seed)
+    cv = tree.cross_validate(table, minsplit=args.minsplit, folds=args.folds, seed=args.seed)
     fitted = cv.tree
     preds = fitted.predict(table.x)
     k = len(fitted.used_variables())

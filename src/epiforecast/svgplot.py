@@ -152,7 +152,7 @@ def tree_diagram(tree) -> str:
             f'width="{box_w}" height="{box_h}" rx="4" fill="{fill}" stroke="#555"/>'
         )
         parts.append(_text((cx, cy - 2), f'{_MIDDLE} font-size="11"',
-                           f"{node.mean:.3f} (n={node.count})"))
+                           f"{node.mean:.3f} (n={len(node.rows)})"))
         if not node.is_leaf:
             parts.append(_text((cx, cy + 13), f'{_MIDDLE} font-size="9"',
                                node.rule.describe(names)))

@@ -88,7 +88,6 @@ class SplitRule:
 @dataclass(frozen=True, eq=False)
 class TreeNode:
     rows: np.ndarray
-    count: int
     mean: float
     sse: float
     rule: SplitRule | None = None
@@ -154,11 +153,7 @@ class RegressionTree:
 
     def to_dict(self) -> dict:
         def node_dict(node: TreeNode) -> dict:
-            out = {
-                "count": int(node.count),
-                "mean": float(node.mean),
-                "sse": float(node.sse),
-            }
+            out = {"count": len(node.rows), "mean": float(node.mean), "sse": float(node.sse)}
             if not node.is_leaf:
                 out["split"] = node.rule.describe(self.table.names)
                 out["variable"] = self.table.names[node.rule.var]
@@ -245,7 +240,7 @@ def _shortlist_margin(y: np.ndarray, centred: np.ndarray, parent_sse: float) -> 
     return 8 * (g * p_hi + bias + math.sqrt(2 * p_hi) * d_err + d_err**2)
 
 
-def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[SplitRule, float] | None:
+def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRule, float] | None:
     """Best SSE-reducing split over all variables and admissible cut points.
 
     Ties break toward the lowest variable index, then the lowest threshold
@@ -260,12 +255,12 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     reduction are the brute-force ones.
     """
     y = table.y[rows]
-    parent_sse = _sse(y)
+    n = len(rows)
+    centred = y - np.add.reduce(y) / n  # as `_sse` centres, kept for the cut sums
+    parent_sse = float(np.add.reduce(centred * centred))
     if parent_sse <= PURITY_TOL_REL * max(float(np.dot(y, y)), 1e-300):
         return None
     tol = parent_sse * REDUCTION_TOL_REL
-    n = len(rows)
-    centred = y - y.mean()
     numeric = [var for var, kind in enumerate(table.kinds) if kind == NUMERIC]
     order, cut_col, thresholds, n_left = _numeric_cuts(table.x[np.ix_(rows, numeric)])
     prefix = np.zeros((n + 1, len(numeric)))
@@ -276,7 +271,10 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
     total = np.add.reduce(centred)
     for var, kind in enumerate(table.kinds):
         if kind == CATEGORICAL:
-            levels, on = _level_masks(table.x[rows, var])
+            col = table.x[rows, var]
+            if np.isnan(col).any():  # each NaN would be a level of its own
+                raise ValueError(f"missing value (NaN) in column {table.names[var]!r}")
+            levels, on = _level_masks(col)
             k = _subset_sums(np.count_nonzero(on, axis=1))
             left_sums = _subset_sums(np.add.reduce(np.where(on, centred, 0.0), axis=1))
             diffs.append(left_sums - total * (k / n))
@@ -294,38 +292,29 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int = 1) -> tuple[Spli
 
     # numeric cuts are scored on original-row-order subsets, so that exact
     # ties resolve identically no matter how the data is arranged
-    shortlist = [(numeric[col], cut, None, table.x[rows, numeric[col]] < cut) for col, cut in
-                 zip(cut_col[kept[0]].tolist(), thresholds[kept[0]].tolist())]
+    shortlist = [(var, cut, SplitRule(var, threshold=cut), table.x[rows, var] < cut) for var, cut in
+                 zip(np.take(numeric, cut_col[kept[0]]).tolist(), thresholds[kept[0]].tolist())]
     for (var, levels, on), keep in zip(categorical, kept[1:]):
         for bits in np.flatnonzero(keep):
             # the lowest level, those of the set bits, and the OR of their masks
             picked = [0] + [i + 1 for i in range(len(levels) - 1) if bits >> i & 1]
-            left = frozenset(levels[i] for i in picked)
-            shortlist.append((var, float(bits), left, on[picked].any(axis=0)))
+            rule = SplitRule(var, left_levels=frozenset(levels[i] for i in picked))
+            shortlist.append((var, float(bits), rule, on[picked].any(axis=0)))
     # stable: each variable's cuts keep their order, so unordered (NaN)
     # keys resolve as brute force resolves them
     shortlist.sort(key=lambda cut: cut[0])
-    best_key = best_levels = None
-    for var, cut, levels, mask in shortlist:
+    best = None
+    for var, cut, rule, mask in shortlist:
         reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
         if reduction <= tol:
             continue
         key = (-reduction, var, cut)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_levels = levels
-    if best_key is None:
+        if best is None or key < best[0]:
+            best = key, rule
+    if best is None:
         return None
-    neg_reduction, var, cut = best_key
-    if best_levels is None:
-        rule = SplitRule(var=var, threshold=cut)
-    else:
-        rule = SplitRule(var=var, left_levels=best_levels)
+    (neg_reduction, _, _), rule = best
     return rule, -neg_reduction
-
-
-def default_minsplit(n: int) -> int:
-    return max(5, math.ceil(0.1 * n))
 
 
 def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None) -> RegressionTree:
@@ -341,7 +330,7 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
         name = table.names[int(np.argmax(holes))]
         raise ValueError(f"missing value (NaN) in column {name!r}")
     if minsplit is None:
-        minsplit = default_minsplit(table.n)
+        minsplit = max(5, math.ceil(0.1 * table.n))
     if minbucket is None:
         minbucket = max(1, minsplit // 3)
     if minsplit < 2 * minbucket:
@@ -352,11 +341,11 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
         mean, sse = float(y.mean()), _sse(y)
         found = best_split(table, rows, minbucket) if len(rows) >= minsplit else None
         if found is None:
-            return TreeNode(rows, len(rows), mean, sse)
+            return TreeNode(rows, mean, sse)
         rule, reduction = found
         mask = rule.mask(table.x[rows, rule.var])
         # arguments run left to right: the left subtree grows first
-        return TreeNode(rows, len(rows), mean, sse, rule, reduction,
+        return TreeNode(rows, mean, sse, rule, reduction,
                         build(rows[mask]), build(rows[~mask]))
 
     root = build(np.arange(table.n))
@@ -384,7 +373,7 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
         strength = (node.sse - sum(leaf_sses)) / (len(leaf_sses) - 1)
         # a NaN strength collapses too, so the loop below always ends
         if not strength > threshold:
-            return TreeNode(node.rows, node.count, node.mean, node.sse), [node.sse], math.inf
+            return TreeNode(node.rows, node.mean, node.sse), [node.sse], math.inf
         if left is not node.left or right is not node.right:
             node = replace(node, left=left, right=right)
         return node, leaf_sses, min(strength, left_weakest, right_weakest)
@@ -445,7 +434,8 @@ def cross_validate(
         holdout = np.flatnonzero(assignment == fold)
         keep = np.flatnonzero(assignment != fold)
         sub = table.subset(keep)
-        fold_tree = grow(sub, minsplit, minbucket)
+        # every fold grows under the size controls the full tree resolved
+        fold_tree = grow(sub, full.minsplit, full.minbucket)
         fold_seq = prune_sequence(fold_tree)
         # neighbouring alphas often select the same pruned tree: predict once
         errors_by_tree = {}

@@ -169,6 +169,17 @@ class TestForecast:
         ) == 1
         assert "unknown option" in capsys.readouterr().err
 
+    def test_repeated_config_key_rejected(self, tmp_path, data_dir, monkeypatch, capsys):
+        # the first value would be read and then silently replaced
+        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        config = tmp_path / "run.cfg"
+        config.write_text("horizon = 5\nhorizon = 7\n")
+        out = tmp_path / "o"
+        assert run_cli("forecast", str(data_dir / "india.csv"), "--config", str(config),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"forecast: {config}:2: duplicate option 'horizon'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["transform = none", "max_p = 2", "max_q = 2"])
     def test_removed_config_keys_rejected(self, tmp_path, line):
         # these keys were once accepted and then ignored

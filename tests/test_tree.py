@@ -166,8 +166,8 @@ def reference_prune_sequence(fitted):
     def snapshot():
         def copy(node):
             if is_leaf(node):
-                return TreeNode(node.rows, node.count, node.mean, node.sse)
-            return TreeNode(node.rows, node.count, node.mean, node.sse, node.rule,
+                return TreeNode(node.rows, node.mean, node.sse)
+            return TreeNode(node.rows, node.mean, node.sse, node.rule,
                             node.improvement, copy(node.left), copy(node.right))
 
         root = copy(fitted.root)
@@ -383,13 +383,23 @@ class TestBestSplit:
                 got = tree._best_surrogate_agreement(tbl, rows, var, went_left)
                 assert got == oracle_surrogate_agreement(tbl, rows, var, went_left)
 
+    def test_missing_categorical_value_rejected(self):
+        # each NaN would be a level of its own: 14 levels and 8191 subsets
+        rng = np.random.default_rng(26)
+        zone = np.concatenate([[0.0] * 5, [1.0] * 5, [np.nan] * 12])
+        tbl = Table(("days", "zone"), (tree.NUMERIC, tree.CATEGORICAL),
+                    np.column_stack([np.arange(22.0), zone]), rng.normal(size=22))
+        with pytest.raises(ValueError, match=r"^missing value \(NaN\) in column 'zone'$"):
+            best_split(tbl, np.arange(22), 1)
+
     def test_cfr_growth_scores_few_cuts_exactly(self, cfr_table, monkeypatch):
         calls = []
         sse = tree._sse
         monkeypatch.setattr(tree, "_sse", lambda values: calls.append(1) or sse(values))
         fitted = grow(cfr_table, minsplit=5, minbucket=1)
-        # per node: one SSE in grow, and where it splits, the parent SSE plus
-        # two per shortlisted cut; scoring every cut exactly makes ~83 per node
+        # per node: one SSE in grow, and where it splits, two per shortlisted
+        # cut (best_split centres the parent itself); scoring every cut
+        # exactly makes ~83 per node
         assert len(calls) <= 4 * len(fitted.nodes())
 
 
@@ -444,8 +454,10 @@ class TestGrow:
         tbl = random_table(rng)
         fitted = grow(tbl, minsplit=5, minbucket=1)
         for node in fitted.internal_nodes():
-            assert node.count == node.left.count + node.right.count
-            assert node.left.count >= 1 and node.right.count >= 1
+            # the children's rows partition the node's, neither side empty
+            left, right = node.left.rows.tolist(), node.right.rows.tolist()
+            assert left and right
+            assert sorted(left + right) == sorted(node.rows.tolist())
             # weighted child mse never above the parent's
             child_sse = node.left.sse + node.right.sse
             assert child_sse <= node.sse + 1e-9
@@ -467,10 +479,10 @@ class TestPrune:
         y = np.array([1.0, 1.0, 1.0, 1.0])
         rows = np.arange(4)
         root = TreeNode(
-            rows=rows, count=4, mean=1.0, sse=0.0,
+            rows=rows, mean=1.0, sse=0.0,
             rule=SplitRule(var=0, threshold=1.5), improvement=0.0,
-            left=TreeNode(rows=rows[:2], count=2, mean=1.0, sse=0.0),
-            right=TreeNode(rows=rows[2:], count=2, mean=1.0, sse=0.0),
+            left=TreeNode(rows=rows[:2], mean=1.0, sse=0.0),
+            right=TreeNode(rows=rows[2:], mean=1.0, sse=0.0),
         )
         tbl = table_from_arrays(np.arange(4.0)[:, None], y)
         fitted = tree.RegressionTree(root=root, table=tbl, minsplit=2, minbucket=1)
@@ -587,6 +599,24 @@ class TestCrossValidate:
         cv = cross_validate(tbl, minsplit=4, minbucket=1, folds=4, seed=0)
         assert cv.tree.n_leaves() == 2
         assert cv.tree.root.rule.threshold == 5.5
+
+    def test_folds_grow_under_the_full_tree_controls(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        tbl = table_from_arrays(rng.normal(size=(51, 3)), rng.normal(size=51))
+        controls = []
+        fit = tree.grow
+
+        def recording_grow(*args):
+            fitted = fit(*args)
+            controls.append((fitted.minsplit, fitted.minbucket))
+            return fitted
+
+        monkeypatch.setattr(tree, "grow", recording_grow)
+        cross_validate(tbl, folds=10, seed=0)
+        # the full tree resolves (6, 2) from 51 rows; a 45-row fold would
+        # resolve (5, 1) on its own
+        assert controls[0] == (6, 2)
+        assert controls[1:] == [controls[0]] * 10
 
     def test_fold_count_validated(self):
         tbl = table_from_arrays(np.arange(6.0)[:, None], np.arange(6.0))

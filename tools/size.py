@@ -1,4 +1,5 @@
-"""Print the size of the `epiforecast` package: lines and function parameters.
+"""Print the size of the `epiforecast` package: lines, function parameters and
+class fields.
 
     python3 tools/size.py [SRC]
 
@@ -10,7 +11,10 @@ each module under it, and in total, the tool prints:
   methods included: positional-only, positional, `*args`, keyword-only and
   `**kwargs`. A method's `self` or `cls` is not counted, and neither are
   lambdas;
-- `defaults`: how many of those parameters have a default value.
+- `defaults`: how many of those parameters have a default value;
+- `fields`: the annotated attributes in the body of every class (a
+  dataclass's fields, say), nested classes included; each is a value a
+  caller can set, as a parameter is.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ def count_params(tree: ast.AST) -> tuple[int, int]:
     return params, defaults
 
 
+def count_fields(tree: ast.AST) -> int:
+    """Annotated class-level attributes over every class in `tree`."""
+    return sum(isinstance(stmt, ast.AnnAssign) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for stmt in node.body)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, nargs="?", default=ROOT / "src",
@@ -44,12 +54,14 @@ def main() -> None:
     rows = []
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
-        rows.append((str(path.relative_to(src)), text.count("\n"), *count_params(ast.parse(text))))
+        module = ast.parse(text)
+        rows.append((str(path.relative_to(src)), text.count("\n"), *count_params(module),
+                     count_fields(module)))
     rows.append(("total", *(sum(column) for column in list(zip(*rows))[1:])))
     width = max(len(row[0]) for row in rows)
-    print(f"{'module':<{width}}  {'lines':>6}  {'params':>6}  {'defaults':>8}")
-    for name, lines, params, defaults in rows:
-        print(f"{name:<{width}}  {lines:>6}  {params:>6}  {defaults:>8}")
+    print(f"{'module':<{width}}  {'lines':>6}  {'params':>6}  {'defaults':>8}  {'fields':>6}")
+    for name, lines, params, defaults, fields in rows:
+        print(f"{name:<{width}}  {lines:>6}  {params:>6}  {defaults:>8}  {fields:>6}")
 
 
 if __name__ == "__main__":
