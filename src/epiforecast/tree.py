@@ -293,7 +293,7 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRul
     # numeric cuts are scored on original-row-order subsets, so that exact
     # ties resolve identically no matter how the data is arranged
     shortlist = [(var, cut, SplitRule(var, threshold=cut), table.x[rows, var] < cut) for var, cut in
-                 zip(np.take(numeric, cut_col[kept[0]]).tolist(), thresholds[kept[0]].tolist())]
+                 zip(map(numeric.__getitem__, cut_col[kept[0]].tolist()), thresholds[kept[0]].tolist())]
     for (var, levels, on), keep in zip(categorical, kept[1:]):
         for bits in np.flatnonzero(keep):
             # the lowest level, those of the set bits, and the OR of their masks

@@ -1,5 +1,4 @@
-"""Print the size of the `epiforecast` package: lines, function parameters and
-class fields.
+"""Print the size of the `epiforecast` package: lines, parameters and fields.
 
     python3 tools/size.py [SRC]
 
