@@ -170,10 +170,16 @@ class RegressionTree:
         }
 
 
-def _sse(values: np.ndarray) -> float:
-    # the arithmetic of `ndarray.mean` and `np.sum`, without their wrappers
-    centred = values - np.add.reduce(values) / len(values)
-    return float(np.add.reduce(centred * centred))
+def _sse(values: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """The mean of `values`, the values centred on it and their SSE, with the
+    arithmetic of `ndarray.mean` and `np.sum` without their wrappers."""
+    mean = np.add.reduce(values) / len(values)
+    centred = values - mean
+    return float(mean), centred, float(np.add.reduce(centred * centred))
+
+
+def _is_pure(y: np.ndarray, sse: float) -> bool:
+    return sse <= PURITY_TOL_REL * max(float(np.dot(y, y)), 1e-300)
 
 
 def _level_masks(col: np.ndarray) -> tuple[list[float], np.ndarray]:
@@ -183,146 +189,251 @@ def _level_masks(col: np.ndarray) -> tuple[list[float], np.ndarray]:
 
 
 def _subset_sums(per_level: np.ndarray) -> np.ndarray:
-    """Sum of `per_level` over the left levels of every cut of a categorical
-    variable: the proper subsets of its levels in canonical order, each
-    partition listed once with the lowest level pinned to the left side, so
-    a subset's index is its bit pattern over the other levels."""
-    sums = per_level[:1]
-    for value in per_level[1:]:
-        sums = np.concatenate((sums, sums + value))
+    """Sum of `per_level` (along its last axis) over the left levels of every
+    cut of a categorical variable: the proper subsets of its levels in
+    canonical order, each partition listed once with the lowest level pinned
+    to the left side, so a subset's index is its bit pattern over the other
+    levels."""
+    sums = per_level[..., :1]
+    for j in range(1, per_level.shape[-1]):
+        sums = np.concatenate((sums, sums + per_level[..., j:j + 1]), axis=-1)
     # the last bit pattern puts every level on the left
-    return sums[:-1]
+    return sums[..., :-1]
 
 
-def _numeric_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stable row order of each column of `block`, and the column, threshold
-    and left count of every cut of every column, by column then threshold.
+def _numeric_cuts(block: np.ndarray, sizes: np.ndarray):
+    """Stable row order of each column of each node of `block`, and the node,
+    column, threshold and left count of every cut, by node, column, then
+    threshold.
 
-    Cuts lie midway between a column's sorted distinct values (NaN pairs are
-    one value, as in `np.unique`). Rows sorted by the column, NaN last, put
-    the left side of a cut, `col < threshold`, on a prefix of that order. Its
-    length, the count of values below the threshold, is one past the lower
-    neighbour unless the midpoint rounds onto it (adjacent doubles) or
-    overflows to +-inf, and 0 for a NaN threshold (from a NaN value, or -inf
-    next to inf: `grow` refuses NaN values, `best_split` does not).
+    `block` is (nodes, width, columns): node i's values in its first
+    `sizes[i]` slots, NaN in the rest, which a stable sort keeps after the
+    node's own values, NaN included. Cuts lie midway between a column's
+    sorted distinct values (NaN pairs are one value, as in `np.unique`).
+    Rows sorted by the column, NaN last, put the left side of a cut,
+    `col < threshold`, on a prefix of that order. Its length, the count of
+    values below the threshold, is one past the lower neighbour unless the
+    midpoint rounds onto it (adjacent doubles) or overflows to +-inf, and 0
+    for a NaN threshold (from a NaN value, or -inf next to inf: `grow`
+    refuses NaN values, `best_split` does not).
     """
-    order = np.argsort(block, axis=0, kind="stable")
-    ranked = np.take_along_axis(block, order, axis=0)
-    lower, upper = ranked[:-1], ranked[1:]
-    cut_col, pos = np.nonzero(((lower != upper) & ~np.isnan(lower)).T)
-    below, above = lower[pos, cut_col], upper[pos, cut_col]
+    order = np.argsort(block, axis=1, kind="stable")
+    ranked = np.take_along_axis(block, order, axis=1)
+    lower, upper = ranked[:, :-1], ranked[:, 1:]
+    inside = np.arange(block.shape[1] - 1) < sizes[:, None] - 1
+    cuts = (lower != upper) & ~np.isnan(lower) & inside[:, :, None]
+    node, col, pos = np.nonzero(cuts.transpose(0, 2, 1))
+    below, above = lower[node, pos, col], upper[node, pos, col]
     # midpoints at cuts only: between repeats of a huge value they overflow
     thresholds = (below + above) / 2.0
     n_left = pos + 1
     for i in np.flatnonzero(~((below < thresholds) & (thresholds <= above))):
         t = thresholds[i]
-        n_left[i] = 0 if np.isnan(t) else np.searchsorted(ranked[:, cut_col[i]], t)
-    return order, cut_col, thresholds, n_left
+        column = ranked[node[i], :sizes[node[i]], col[i]]
+        n_left[i] = 0 if np.isnan(t) else np.searchsorted(column, t)
+    return order, node, col, thresholds, n_left
 
 
-def _shortlist_margin(y: np.ndarray, centred: np.ndarray, parent_sse: float) -> float:
+def _shortlist_margin(n, y_max, abs_sum, parent_sse):
     """Twice a bound on how far the approximate reduction of a cut and its
-    brute-force reduction can each lie from the exact one.
+    brute-force reduction can each lie from the exact one, for nodes of `n`
+    rows with M = max|y| (`y_max`) and A = sum|y - mean| (`abs_sum`).
 
-    With g = (n + 4) eps, M = max|y| and A = sum|y - mean|: mean rounding
-    biases each `_sse` by at most B = n (g M)^2, so the exact parent SSE is
-    below P = (1 + g)(parent_sse + 2B); the brute-force reduction is off by at
-    most 3gP + 4B. The difference D between a cut's left sum of the centred
-    response and k/n of its total, from prefix sums (numeric) or from sums
-    of per-level sums (categorical), adds at most n centred terms either
-    way, so it is off by at most E = 2gA, and the approximate reduction
-    n D^2 / (k (n - k)) by at most 4 sqrt(2P) E + 4E^2 + gP.
+    With g = (n + 4) eps: mean rounding biases each `_sse` by at most
+    B = n (g M)^2, so the exact parent SSE is below P = (1 + g)(parent_sse +
+    2B); the brute-force reduction is off by at most 3gP + 4B. The
+    difference D between a cut's left sum of the centred response and k/n of
+    its total, from prefix sums (numeric) or from sums of per-level sums
+    (categorical), adds at most n centred terms either way, so it is off by
+    at most E = 2gA, and the approximate reduction n D^2 / (k (n - k)) by at
+    most 4 sqrt(2P) E + 4E^2 + gP. That holds for any summation order of the
+    node's own terms, zeros added anywhere among them, and A's own rounding
+    is far inside the factor of 2: so sums batched over many nodes may feed
+    it.
     """
-    g = (len(y) + 4) * np.finfo(float).eps
-    bias = len(y) * (g * float(np.max(np.abs(y), initial=0.0))) ** 2
+    g = (n + 4) * np.finfo(float).eps
+    bias = n * (g * y_max) ** 2
     p_hi = (1 + g) * (parent_sse + 2 * bias)
-    d_err = 2 * g * float(np.sum(np.abs(centred)))
-    return 8 * (g * p_hi + bias + math.sqrt(2 * p_hi) * d_err + d_err**2)
+    d_err = 2 * g * abs_sum
+    return 8 * (g * p_hi + bias + np.sqrt(2 * p_hi) * d_err + d_err**2)
 
 
-def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRule, float] | None:
-    """Best SSE-reducing split over all variables and admissible cut points.
+def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
+    """The best split of each node, given as (rows, y, centred, sse) of a
+    node that is not pure: (rule, reduction, mask, left, right), where `mask`
+    sends the node's rows left and `left` and `right` are the `_sse` of each
+    side, or None when no admissible split reduces the node's SSE.
 
-    Ties break toward the lowest variable index, then the lowest threshold
-    (numeric) or the canonical subset order (categorical). Returns None when
-    no admissible split reduces the parent SSE.
-
-    One sort of the node's numeric columns gives every numeric cut's
-    reduction from prefix sums of the centred response, and per-level sums
-    give every categorical cut's. Those values only shortlist the cuts
-    within `_shortlist_margin` of the best; each shortlisted cut is then
-    scored exactly as brute force scores it, so the winner and its
-    reduction are the brute-force ones.
+    One pass serves every node: their rows are padded to the largest node's
+    count, each numeric column is sorted within each node, one cumulative
+    sum of the centred response along the padded axis gives every numeric
+    cut's sum (bit for bit each node's own prefix sums), and per-level sums
+    give every categorical cut's, enumerated in each node's own canonical
+    subset order. Those values only shortlist the cuts within
+    `_shortlist_margin` of each node's best; each shortlisted cut is then
+    scored exactly as brute force scores it, on its node's rows in their
+    original order, so the winner and its reduction are the brute-force
+    ones. Ties break toward the lowest variable index, then the lowest
+    threshold (numeric) or the canonical subset order (categorical).
     """
-    y = table.y[rows]
-    n = len(rows)
-    centred = y - np.add.reduce(y) / n  # as `_sse` centres, kept for the cut sums
-    parent_sse = float(np.add.reduce(centred * centred))
-    if parent_sse <= PURITY_TOL_REL * max(float(np.dot(y, y)), 1e-300):
-        return None
-    tol = parent_sse * REDUCTION_TOL_REL
-    numeric = [var for var, kind in enumerate(table.kinds) if kind == NUMERIC]
-    order, cut_col, thresholds, n_left = _numeric_cuts(table.x[np.ix_(rows, numeric)])
-    prefix = np.zeros((n + 1, len(numeric)))
-    np.cumsum(centred[order], axis=0, out=prefix[1:])
-    diffs = [prefix[n_left, cut_col] - prefix[-1, cut_col] * (n_left / n)]
-    counts = [n_left]
-    categorical = []
-    total = np.add.reduce(centred)
+    sizes = np.array([len(rows) for rows, _, _, _ in nodes])
+    slots = np.arange(sizes.max()) < sizes[:, None]
+    at = np.zeros(slots.shape, dtype=int)
+    at[slots] = np.concatenate([rows for rows, _, _, _ in nodes])
+    ys, centred = np.zeros(slots.shape), np.zeros(slots.shape)
+    ys[slots] = np.concatenate([y for _, y, _, _ in nodes])
+    centred[slots] = np.concatenate([c for _, _, c, _ in nodes])
+    totals = np.add.reduce(centred, axis=1)
+
+    numeric = np.array([var for var, kind in enumerate(table.kinds) if kind == NUMERIC], dtype=int)
+    block = table.x[:, numeric][at]
+    block[~slots] = np.nan
+    order, owner, col, thresholds, n_left = _numeric_cuts(block, sizes)
+    prefix = np.zeros((len(nodes), slots.shape[1] + 1, len(numeric)))
+    np.cumsum(np.take_along_axis(centred[:, :, None], order, axis=1), axis=1, out=prefix[:, 1:])
+    n = sizes[owner]
+    diffs = [prefix[owner, n_left, col] - prefix[owner, n, col] * (n_left / n)]
+    owners, variables, counts, cuts = [owner], [numeric[col]], [n_left], [thresholds]
     for var, kind in enumerate(table.kinds):
         if kind == CATEGORICAL:
-            col = table.x[rows, var]
-            if np.isnan(col).any():  # each NaN would be a level of its own
+            values = table.x[at, var]
+            if np.isnan(values[slots]).any():  # each NaN would be a level of its own
                 raise ValueError(f"missing value (NaN) in column {table.names[var]!r}")
-            levels, on = _level_masks(col)
-            k = _subset_sums(np.count_nonzero(on, axis=1))
-            left_sums = _subset_sums(np.add.reduce(np.where(on, centred, 0.0), axis=1))
-            diffs.append(left_sums - total * (k / n))
+            levels = np.array(sorted(set(values[slots].tolist())))
+            on = (values[:, None, :] == levels[:, None]) & slots[:, None, :]
+            per_level = np.count_nonzero(on, axis=2)
+            # each node's own levels first, in order: its lowest is pinned left
+            rank = np.argsort(per_level == 0, axis=1, kind="stable")
+            k = _subset_sums(np.take_along_axis(per_level, rank, axis=1))
+            sums = np.add.reduce(np.where(on, centred[:, None, :], 0.0), axis=2)
+            left = _subset_sums(np.take_along_axis(sums, rank, axis=1))
+            proper = (1 << (np.count_nonzero(per_level, axis=1) - 1)) - 1
+            owner, bits = np.nonzero(np.arange(k.shape[1]) < proper[:, None])
+            k = k[owner, bits]
+            diffs.append(left[owner, bits] - totals[owner] * (k / sizes[owner]))
+            owners.append(owner)
+            variables.append(np.full(len(owner), var))
             counts.append(k)
-            categorical.append((var, levels, on))
-    diff, k = np.concatenate(diffs), np.concatenate(counts)
+            cuts.append(bits.astype(float))
+    owner, var, k, cut, diff = map(np.concatenate, (owners, variables, counts, cuts, diffs))
+    n = sizes[owner]
     # at k = 0 or k = n a numeric difference is exactly 0, and so is approx
     approx = n * diff**2 / np.maximum(k * (n - k), 1)
     admissible = (k >= minbucket) & (n - k >= minbucket)
-    floor = np.max(approx[admissible], initial=-np.inf) - _shortlist_margin(y, centred, parent_sse)
-    if not math.isfinite(floor):
-        # non-finite data or overflow: no bound holds, so score every cut
-        floor = -math.inf
-    kept = np.split(admissible & ~(approx < floor), np.cumsum([len(c) for c in counts[:-1]]))
+    best = np.full(len(nodes), -np.inf)
+    np.maximum.at(best, owner[admissible], approx[admissible])
+    parent_sse = np.array([sse for _, _, _, sse in nodes])
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = best - _shortlist_margin(sizes, np.max(np.abs(ys), axis=1),
+                                         np.add.reduce(np.abs(centred), axis=1), parent_sse)
+    # non-finite data or overflow: no bound holds, so score every cut
+    floor[~np.isfinite(floor)] = -np.inf
+    kept = np.flatnonzero(admissible & ~(approx < floor[owner]))
+    # by node, then variable; stable, so each variable's cuts keep their
+    # order and unordered (NaN) keys resolve as brute force resolves them
+    kept = kept[np.lexsort((var[kept], owner[kept]))]
 
-    # numeric cuts are scored on original-row-order subsets, so that exact
-    # ties resolve identically no matter how the data is arranged
-    shortlist = [(var, cut, SplitRule(var, threshold=cut), table.x[rows, var] < cut) for var, cut in
-                 zip(map(numeric.__getitem__, cut_col[kept[0]].tolist()), thresholds[kept[0]].tolist())]
-    for (var, levels, on), keep in zip(categorical, kept[1:]):
-        for bits in np.flatnonzero(keep):
-            # the lowest level, those of the set bits, and the OR of their masks
-            picked = [0] + [i + 1 for i in range(len(levels) - 1) if bits >> i & 1]
-            rule = SplitRule(var, left_levels=frozenset(levels[i] for i in picked))
-            shortlist.append((var, float(bits), rule, on[picked].any(axis=0)))
-    # stable: each variable's cuts keep their order, so unordered (NaN)
-    # keys resolve as brute force resolves them
-    shortlist.sort(key=lambda cut: cut[0])
-    best = None
-    for var, cut, rule, mask in shortlist:
-        reduction = parent_sse - _sse(y[mask]) - _sse(y[~mask])
-        if reduction <= tol:
+    found = [None] * len(nodes)
+    for i, v, c in zip(owner[kept].tolist(), var[kept].tolist(), cut[kept].tolist()):
+        rows, y, _, sse = nodes[i]
+        values = table.x[rows, v]
+        if table.kinds[v] == NUMERIC:
+            rule, mask = SplitRule(v, threshold=c), values < c
+        else:
+            levels = sorted(set(values.tolist()))
+            # the lowest level and those of the set bits
+            picked = [levels[0]] + [level for j, level in enumerate(levels[1:]) if int(c) >> j & 1]
+            rule = SplitRule(v, left_levels=frozenset(picked))
+            mask = (values == np.array(picked)[:, None]).any(axis=0)
+        # cuts are scored on original-row-order subsets, so that exact ties
+        # resolve identically no matter how the data is arranged
+        left, right = _sse(y[mask]), _sse(y[~mask])
+        reduction = sse - left[2] - right[2]
+        if reduction <= sse * REDUCTION_TOL_REL:
             continue
-        key = (-reduction, var, cut)
-        if best is None or key < best[0]:
-            best = key, rule
-    if best is None:
+        key = (-reduction, v, c)
+        if found[i] is None or key < found[i][0]:
+            found[i] = key, rule, mask, left, right
+    return [None if f is None else (f[1], -f[0][0], *f[2:]) for f in found]
+
+
+def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRule, float] | None:
+    """Best SSE-reducing split of one node over all variables and admissible
+    cut points, by the pass that grows trees (`_best_splits`); None when no
+    admissible split reduces the node's SSE."""
+    y = table.y[rows]
+    _, centred, sse = _sse(y)
+    if _is_pure(y, sse):
         return None
-    (neg_reduction, _, _), rule = best
-    return rule, -neg_reduction
+    found, = _best_splits(table, [(rows, y, centred, sse)], minbucket)
+    return None if found is None else found[:2]
 
 
-def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None) -> RegressionTree:
-    """Recursive partitioning until no admissible SSE-reducing split remains.
+# A split-search pass pads every node to its largest node's rows; a level
+# whose padding would exceed twice its rows and this many cells is split
+_PASS_CELLS = 1 << 16
 
-    A NaN anywhere in `table.x` is refused up front: a split could not route
-    its row to either child.
-    """
+
+def _passes(level: list) -> list[list]:
+    """The open nodes of a level, largest first, in runs that one
+    `_best_splits` pass each searches."""
+    runs, width, rows = [], 0, 0
+    for node in sorted(level, key=lambda node: -len(node[1][0])):
+        size = len(node[1][0])
+        if runs and (len(runs[-1]) + 1) * width <= max(2 * (rows + size), _PASS_CELLS):
+            runs[-1].append(node)
+            rows += size
+        else:
+            runs.append([node])
+            width, rows = size, size
+    return runs
+
+
+def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> list[TreeNode]:
+    """One tree on each row set of `roots`, all grown level by level: every
+    open node of every tree at one depth goes through one split-search pass.
+    A tree's rows are numbered as `table.subset(root)` numbers them, so it
+    equals `grow(table.subset(root), minsplit, minbucket)` node for node."""
+    grown = []  # per node: its tree, rows, mean, SSE and split
+    level = []  # the open nodes: (index in grown, (rows, y, centred, sse))
+
+    def add(tree: int, rows: np.ndarray, stats: tuple) -> int:
+        mean, centred, sse = stats
+        grown.append([tree, rows, mean, sse, None])
+        y = table.y[rows]
+        if len(rows) >= minsplit and not _is_pure(y, sse):
+            level.append((len(grown) - 1, (rows, y, centred, sse)))
+        return len(grown) - 1
+
+    for tree, root in enumerate(roots):
+        add(tree, root, _sse(table.y[root]))
+    while level:
+        searched, level = level, []
+        for run in _passes(searched):
+            found = _best_splits(table, [node for _, node in run], minbucket)
+            for (i, (rows, *_)), split in zip(run, found):
+                if split is not None:
+                    rule, reduction, mask, left, right = split
+                    tree = grown[i][0]
+                    grown[i][4] = (rule, reduction,
+                                   add(tree, rows[mask], left), add(tree, rows[~mask], right))
+
+    # each tree numbers its rows as its subset of the table does
+    local = np.zeros((len(roots), table.n), dtype=int)
+    for tree, root in enumerate(roots):
+        local[tree, root] = np.arange(len(root))
+    built = [None] * len(grown)
+    for i in reversed(range(len(grown))):  # children come after their parent
+        tree, rows, mean, sse, split = grown[i]
+        children = () if split is None else (*split[:2], built[split[2]], built[split[3]])
+        built[i] = TreeNode(local[tree, rows], mean, sse, *children)
+    return built[:len(roots)]
+
+
+def _controls(table: Table, minsplit: int | None, minbucket: int | None) -> tuple[int, int]:
+    """The `minsplit` and `minbucket` that `grow` uses on `table`, which it
+    refuses if empty or holding a NaN: a split could not route that row to
+    either child."""
     if table.n == 0:
         raise ValueError("cannot grow a tree on an empty table")
     holes = np.isnan(table.x).any(axis=0)
@@ -335,20 +446,15 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
         minbucket = max(1, minsplit // 3)
     if minsplit < 2 * minbucket:
         raise ValueError(f"minsplit ({minsplit}) must be at least twice minbucket ({minbucket})")
+    return minsplit, minbucket
 
-    def build(rows: np.ndarray) -> TreeNode:
-        y = table.y[rows]
-        mean, sse = float(y.mean()), _sse(y)
-        found = best_split(table, rows, minbucket) if len(rows) >= minsplit else None
-        if found is None:
-            return TreeNode(rows, mean, sse)
-        rule, reduction = found
-        mask = rule.mask(table.x[rows, rule.var])
-        # arguments run left to right: the left subtree grows first
-        return TreeNode(rows, mean, sse, rule, reduction,
-                        build(rows[mask]), build(rows[~mask]))
 
-    root = build(np.arange(table.n))
+def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None) -> RegressionTree:
+    """Partitioning until no admissible SSE-reducing split remains, by
+    default with minsplit = max(5, ceil(0.1 n)) and minbucket =
+    max(1, minsplit // 3). A NaN anywhere in `table.x` is refused up front."""
+    minsplit, minbucket = _controls(table, minsplit, minbucket)
+    root, = _grow_together(table, [np.arange(table.n)], minsplit, minbucket)
     return RegressionTree(root=root, table=table, minsplit=minsplit, minbucket=minbucket)
 
 
@@ -416,8 +522,16 @@ def cross_validate(
     preference for smaller trees."""
     if not 2 <= folds <= table.n:
         raise ValueError(f"folds must be in 2..{table.n}, got {folds}")
-    full = grow(table, minsplit, minbucket)
-    sequence = prune_sequence(full)
+    minsplit, minbucket = _controls(table, minsplit, minbucket)
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(table.n, dtype=int)
+    assignment[rng.permutation(table.n)] = np.arange(table.n) % folds
+    keeps = [np.flatnonzero(assignment != fold) for fold in range(folds)]
+    # the full tree and every fold tree grow together, under the size
+    # controls resolved for the full table
+    full_root, *fold_roots = _grow_together(table, [np.arange(table.n), *keeps],
+                                            minsplit, minbucket)
+    sequence = prune_sequence(RegressionTree(full_root, table, minsplit, minbucket))
     alphas = [a for a, _ in sequence]
     # evaluate between breakpoints: geometric midpoints, the last alpha as-is
     eval_alphas = [
@@ -425,18 +539,10 @@ def cross_validate(
         for i, a in enumerate(alphas)
     ]
 
-    rng = np.random.default_rng(seed)
-    assignment = np.empty(table.n, dtype=int)
-    assignment[rng.permutation(table.n)] = np.arange(table.n) % folds
-
     sq_errors = np.zeros((len(eval_alphas), table.n))
-    for fold in range(folds):
+    for fold, (keep, root) in enumerate(zip(keeps, fold_roots)):
         holdout = np.flatnonzero(assignment == fold)
-        keep = np.flatnonzero(assignment != fold)
-        sub = table.subset(keep)
-        # every fold grows under the size controls the full tree resolved
-        fold_tree = grow(sub, full.minsplit, full.minbucket)
-        fold_seq = prune_sequence(fold_tree)
+        fold_seq = prune_sequence(RegressionTree(root, table.subset(keep), minsplit, minbucket))
         # neighbouring alphas often select the same pruned tree: predict once
         errors_by_tree = {}
         for i, alpha in enumerate(eval_alphas):
@@ -504,8 +610,8 @@ def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_lef
     n = len(rows)
     col = table.x[rows, var]
     if table.kinds[var] == NUMERIC:
-        order, _, _, n_left = _numeric_cuts(col[:, None])
-        went_prefix = np.concatenate(([0], np.cumsum(went_left[order[:, 0]])))
+        order, _, _, _, n_left = _numeric_cuts(col[None, :, None], np.array([n]))
+        went_prefix = np.concatenate(([0], np.cumsum(went_left[order[0, :, 0]])))
         # rows agreeing: primary-left rows on the cut's left side plus
         # primary-right rows on its right side
         agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]

@@ -211,6 +211,21 @@ def oracle_route(fitted, row):
     return node.mean
 
 
+def assert_same_nodes(a, b):
+    """Node for node: rows, mean, SSE, rule and improvement, bit for bit."""
+    assert a.rows.tolist() == b.rows.tolist()
+    assert (a.mean.hex(), a.sse.hex(), a.rule, a.improvement.hex()) == \
+        (b.mean.hex(), b.sse.hex(), b.rule, b.improvement.hex())
+    if not a.is_leaf:
+        assert_same_nodes(a.left, b.left)
+        assert_same_nodes(a.right, b.right)
+
+
+def assert_same_tree(a, b):
+    assert (a.minsplit, a.minbucket) == (b.minsplit, b.minbucket)
+    assert_same_nodes(a.root, b.root)
+
+
 def hard_table(rng):
     """A random table with the inputs that trip a split search up: tied and
     constant x, NaN and +-inf entries, categorical columns with 2-4 levels, a
@@ -397,10 +412,38 @@ class TestBestSplit:
         sse = tree._sse
         monkeypatch.setattr(tree, "_sse", lambda values: calls.append(1) or sse(values))
         fitted = grow(cfr_table, minsplit=5, minbucket=1)
-        # per node: one SSE in grow, and where it splits, two per shortlisted
-        # cut (best_split centres the parent itself); scoring every cut
-        # exactly makes ~83 per node
-        assert len(calls) <= 4 * len(fitted.nodes())
+        # one SSE for the root and two per shortlisted cut, whose sides' SSEs
+        # become the children's; scoring every cut exactly makes ~83 per node
+        assert len(calls) <= 2 * len(fitted.nodes())
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_one_pass_over_many_nodes_matches_oracle(self):
+        # nodes of mixed sizes from one table share a pass, as a level does
+        rng = np.random.default_rng(28)
+        for _ in range(150):
+            tbl = hard_table(rng)
+            minbucket = int(rng.integers(1, 6))
+            nodes = []
+            for _ in range(int(rng.integers(1, 9))):
+                rows = random_rows(rng, tbl.n)
+                y = tbl.y[rows]
+                _, centred, sse = tree._sse(y)
+                if not tree._is_pure(y, sse):
+                    nodes.append((rows, y, centred, sse))
+            if not nodes:
+                continue
+            found = tree._best_splits(tbl, nodes, minbucket)
+            for (rows, y, _, _), split in zip(nodes, found):
+                expected = oracle_split_search(tbl, rows, minbucket)
+                assert (split and split[:2]) == expected
+                if split:
+                    # the mask the rule makes, and each side's SSE
+                    rule, _, mask, left, right = split
+                    col = tbl.x[rows, rule.var]
+                    expected = col < rule.threshold if rule.threshold is not None else rule.mask(col)
+                    assert mask.tolist() == expected.tolist()
+                    assert (left[2].hex(), right[2].hex()) == \
+                        (tree._sse(y[mask])[2].hex(), tree._sse(y[~mask])[2].hex())
 
 
 # ------------------------------------------------------------ grow
@@ -446,6 +489,24 @@ class TestGrow:
         ss_res = float(np.sum((cfr_table.y - preds) ** 2))
         ss_tot = float(np.sum((cfr_table.y - cfr_table.y.mean()) ** 2))
         assert 1 - ss_res / ss_tot >= 0.85
+
+    def test_growing_together_equals_growing_alone(self):
+        # hard tables (NaN replaced, as grow refuses it) with row sets of
+        # mixed sizes, tied and constant columns, categorical columns and
+        # exact ties in the reduction
+        rng = np.random.default_rng(29)
+        for _ in range(120):
+            tbl = hard_table(rng)
+            tbl = Table(tbl.names, tbl.kinds, np.where(np.isnan(tbl.x), 0.0, tbl.x), tbl.y)
+            minbucket = int(rng.integers(1, 4))
+            minsplit = 2 * minbucket + int(rng.integers(0, 3))
+            roots = [random_rows(rng, tbl.n) for _ in range(int(rng.integers(1, 12)))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                together = tree._grow_together(tbl, roots, minsplit, minbucket)
+                for rows, root in zip(roots, together):
+                    alone = grow(tbl.subset(rows), minsplit, minbucket)
+                    assert_same_nodes(root, alone.root)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -530,7 +591,7 @@ class TestPrune:
             minbucket = int(rng.integers(1, 4))
             assert_prunes_like_reference(grow(tbl, minsplit=2 * minbucket, minbucket=minbucket))
 
-    @pytest.mark.parametrize("minsplit", [5, None])
+    @pytest.mark.parametrize("minsplit", [9, None])
     def test_bit_identical_to_reference_on_cfr_folds(self, cfr_table, monkeypatch, minsplit):
         grown = []
         prune = tree.prune_sequence
@@ -604,19 +665,41 @@ class TestCrossValidate:
         rng = np.random.default_rng(27)
         tbl = table_from_arrays(rng.normal(size=(51, 3)), rng.normal(size=51))
         controls = []
-        fit = tree.grow
+        prune = tree.prune_sequence
 
-        def recording_grow(*args):
-            fitted = fit(*args)
+        def recording_prune(fitted):
             controls.append((fitted.minsplit, fitted.minbucket))
-            return fitted
+            return prune(fitted)
 
-        monkeypatch.setattr(tree, "grow", recording_grow)
+        # the full tree, then each fold tree, is pruned once
+        monkeypatch.setattr(tree, "prune_sequence", recording_prune)
         cross_validate(tbl, folds=10, seed=0)
         # the full tree resolves (6, 2) from 51 rows; a fold of 45 or 46 rows
         # would resolve (5, 1) on its own
         assert controls[0] == (6, 2)
         assert controls[1:] == [controls[0]] * 10
+
+    @pytest.mark.parametrize("folds", [5, 10])
+    @pytest.mark.parametrize("minsplit", [None, 9])
+    def test_fold_trees_equal_trees_grown_alone(self, cfr_table, monkeypatch, minsplit, folds):
+        grown = []
+        prune = tree.prune_sequence
+        monkeypatch.setattr(tree, "prune_sequence", lambda t: grown.append(t) or prune(t))
+        for seed in range(5):
+            grown.clear()
+            cross_validate(cfr_table, minsplit=minsplit, folds=folds, seed=seed)
+            full, *fold_trees = grown
+            assert_same_tree(full, grow(cfr_table, minsplit))
+            # the folds as cross_validate assigns them
+            assignment = np.empty(cfr_table.n, dtype=int)
+            assignment[np.random.default_rng(seed).permutation(cfr_table.n)] = \
+                np.arange(cfr_table.n) % folds
+            assert len(fold_trees) == folds
+            for fold, fitted in enumerate(fold_trees):
+                sub = cfr_table.subset(np.flatnonzero(assignment != fold))
+                assert fitted.table.x.tobytes() == sub.x.tobytes()
+                assert fitted.table.y.tobytes() == sub.y.tobytes()
+                assert_same_tree(fitted, grow(sub, full.minsplit, full.minbucket))
 
     def test_fold_count_validated(self):
         tbl = table_from_arrays(np.arange(6.0)[:, None], np.arange(6.0))

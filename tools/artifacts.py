@@ -11,9 +11,10 @@ writes:
   its first 990 days;
 - `forecast/<name>/`: `forecast` on each series but `long_full`;
 - `eval/eval.json`: `eval` of the `long` forecast against `long_full.csv`;
-- `risktree/seed<S>/` and `risktree/seed<S>_minsplit5/`: `risktree` on the
-  bundled CFR table for fold seeds 0-34, with the default minsplit and with
-  `--minsplit 5`.
+- `risktree/seed<S>/` and `risktree/seed<S>_minsplit9/`: `risktree` on the
+  bundled CFR table for fold seeds 0-34, with the default minsplit (5 for its
+  50 rows) and with `--minsplit 9`;
+- `risktree/seed<S>_folds5/`: the same with `--folds 5`, for fold seeds 0-9.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from epiforecast import cli, datasets  # noqa: E402
 from inputs import HORIZON, LONG_DAYS, LONG_START, long_series  # noqa: E402
 
 FOLD_SEEDS = range(35)
+FIVE_FOLD_SEEDS = range(10)
 
 
 def run(*argv) -> None:
@@ -60,8 +62,11 @@ def main() -> None:
     table = series / f"{datasets.CFR_TABLE}.csv"
     for seed in FOLD_SEEDS:
         run("risktree", table, "--seed", seed, "--out", out / "risktree" / f"seed{seed}")
-        run("risktree", table, "--seed", seed, "--minsplit", 5,
-            "--out", out / "risktree" / f"seed{seed}_minsplit5")
+        run("risktree", table, "--seed", seed, "--minsplit", 9,
+            "--out", out / "risktree" / f"seed{seed}_minsplit9")
+    for seed in FIVE_FOLD_SEEDS:
+        run("risktree", table, "--seed", seed, "--folds", 5,
+            "--out", out / "risktree" / f"seed{seed}_folds5")
 
 
 if __name__ == "__main__":
