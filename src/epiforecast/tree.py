@@ -258,6 +258,13 @@ def _shortlist_margin(n, y_max, abs_sum, parent_sse):
     return 8 * (g * p_hi + bias + np.sqrt(2 * p_hi) * d_err + d_err**2)
 
 
+def _approx(diff: np.ndarray, k: np.ndarray, n, minbucket: int) -> tuple[np.ndarray, np.ndarray]:
+    """The approximate reduction n D^2 / (k (n - k)) of cuts with difference
+    D (`diff`) and left count k in nodes of n rows, and which are admissible."""
+    # at k = 0 or k = n a numeric difference is exactly 0, and so is approx
+    return n * diff**2 / np.maximum(k * (n - k), 1), (k >= minbucket) & (n - k >= minbucket)
+
+
 def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
     """The best split of each node, given as (rows, y, centred, sse) of a
     node that is not pure: (rule, reduction, mask, left, right), where `mask`
@@ -292,8 +299,11 @@ def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
     prefix = np.zeros((len(nodes), slots.shape[1] + 1, len(numeric)))
     np.cumsum(np.take_along_axis(centred[:, :, None], order, axis=1), axis=1, out=prefix[:, 1:])
     n = sizes[owner]
-    diffs = [prefix[owner, n_left, col] - prefix[owner, n, col] * (n_left / n)]
-    owners, variables, counts, cuts = [owner], [numeric[col]], [n_left], [thresholds]
+    approx, admissible = _approx(prefix[owner, n_left, col] - prefix[owner, n, col] * (n_left / n),
+                                 n_left, n, minbucket)
+    best = np.full(len(nodes), -np.inf)
+    np.maximum.at(best, owner[admissible], approx[admissible])
+    categorical = []  # per variable: its approx and admissible cuts, by node and subset
     for var, kind in enumerate(table.kinds):
         if kind == CATEGORICAL:
             values = table.x[at, var]
@@ -307,21 +317,13 @@ def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
             k = _subset_sums(np.take_along_axis(per_level, rank, axis=1))
             sums = np.add.reduce(np.where(on, centred[:, None, :], 0.0), axis=2)
             left = _subset_sums(np.take_along_axis(sums, rank, axis=1))
+            n = sizes[:, None]
+            subset_approx, subset_ok = _approx(left - totals[:, None] * (k / n), k, n, minbucket)
+            # a node lists the proper subsets of its own levels only
             proper = (1 << (np.count_nonzero(per_level, axis=1) - 1)) - 1
-            owner, bits = np.nonzero(np.arange(k.shape[1]) < proper[:, None])
-            k = k[owner, bits]
-            diffs.append(left[owner, bits] - totals[owner] * (k / sizes[owner]))
-            owners.append(owner)
-            variables.append(np.full(len(owner), var))
-            counts.append(k)
-            cuts.append(bits.astype(float))
-    owner, var, k, cut, diff = map(np.concatenate, (owners, variables, counts, cuts, diffs))
-    n = sizes[owner]
-    # at k = 0 or k = n a numeric difference is exactly 0, and so is approx
-    approx = n * diff**2 / np.maximum(k * (n - k), 1)
-    admissible = (k >= minbucket) & (n - k >= minbucket)
-    best = np.full(len(nodes), -np.inf)
-    np.maximum.at(best, owner[admissible], approx[admissible])
+            subset_ok &= np.arange(k.shape[1]) < proper[:, None]
+            best = np.maximum(best, np.max(subset_approx, axis=1, where=subset_ok, initial=-np.inf))
+            categorical.append((var, subset_approx, subset_ok))
     parent_sse = np.array([sse for _, _, _, sse in nodes])
     with np.errstate(over="ignore", invalid="ignore"):
         floor = best - _shortlist_margin(sizes, np.max(np.abs(ys), axis=1),
@@ -329,12 +331,17 @@ def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
     # non-finite data or overflow: no bound holds, so score every cut
     floor[~np.isfinite(floor)] = -np.inf
     kept = np.flatnonzero(admissible & ~(approx < floor[owner]))
+    shortlist = [(owner[kept], numeric[col[kept]], thresholds[kept])]
+    for var, subset_approx, subset_ok in categorical:
+        node, bits = np.nonzero(subset_ok & ~(subset_approx < floor[:, None]))
+        shortlist.append((node, np.full(len(node), var), bits.astype(float)))
+    owner, var, cut = map(np.concatenate, zip(*shortlist))
     # by node, then variable; stable, so each variable's cuts keep their
     # order and unordered (NaN) keys resolve as brute force resolves them
-    kept = kept[np.lexsort((var[kept], owner[kept]))]
+    by_node = np.lexsort((var, owner))
 
     found = [None] * len(nodes)
-    for i, v, c in zip(owner[kept].tolist(), var[kept].tolist(), cut[kept].tolist()):
+    for i, v, c in zip(owner[by_node].tolist(), var[by_node].tolist(), cut[by_node].tolist()):
         rows, y, _, sse = nodes[i]
         values = table.x[rows, v]
         if table.kinds[v] == NUMERIC:
@@ -353,8 +360,8 @@ def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
             continue
         key = (-reduction, v, c)
         if found[i] is None or key < found[i][0]:
-            found[i] = key, rule, mask, left, right
-    return [None if f is None else (f[1], -f[0][0], *f[2:]) for f in found]
+            found[i] = key, (rule, reduction, mask, left, right)
+    return [f and f[1] for f in found]
 
 
 def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRule, float] | None:
