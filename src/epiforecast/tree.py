@@ -4,7 +4,7 @@ cross-validated size selection and variable importance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,18 +133,9 @@ class RegressionTree:
         if x.ndim != 2 or x.shape[1] != self.table.n_vars:
             raise ValueError(f"record must have {self.table.n_vars} values")
         out = np.empty(len(x))
-
-        def route(node: TreeNode, rows: np.ndarray) -> None:
-            if len(rows) == 0:
-                return
+        for node, rows, _ in _route(self.root, x):
             if node.is_leaf:
                 out[rows] = node.mean
-                return
-            left = node.rule.mask(x[rows, node.rule.var])
-            route(node.left, rows[left])
-            route(node.right, rows[~left])
-
-        route(self.root, np.arange(len(x)))
         return out
 
     def leaf_signature(self) -> frozenset:
@@ -451,6 +442,8 @@ def _controls(table: Table, minsplit: int | None, minbucket: int | None) -> tupl
         minsplit = max(5, math.ceil(0.1 * table.n))
     if minbucket is None:
         minbucket = max(1, minsplit // 3)
+    if minbucket < 1:  # a cut could leave a side empty
+        raise ValueError(f"minbucket must be at least 1, got {minbucket}")
     if minsplit < 2 * minbucket:
         raise ValueError(f"minsplit ({minsplit}) must be at least twice minbucket ({minbucket})")
     return minsplit, minbucket
@@ -465,41 +458,108 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
     return RegressionTree(root=root, table=table, minsplit=minsplit, minbucket=minbucket)
 
 
+def _weakest_links(root: TreeNode) -> tuple[list[TreeNode], list[int], list[float], list[float]]:
+    """Weakest-link cost-complexity pruning of the tree at `root`, on its
+    nodes in preorder: the nodes, each node's right child (its left child is
+    the next node), the step alpha at which each node stops being internal,
+    and the step alphas [alpha_0 = 0, ..., alpha_K], which increase strictly.
+
+    Pass k collapses, bottom up, every link no stronger than alpha_k, where
+    a link's strength is (sse - sum(leaf_sses)) / (leaves - 1) over its
+    current leaves in preorder; alpha_{k+1} is the weakest link that
+    survives. A leaf of the grown tree has alpha 0, and a node cut away with
+    an ancestor while still internal has NaN. A node of T_k is internal iff
+    its alpha exceeds alpha_k, so a record's leaf in T_k is the first node
+    on its path whose alpha is at most alpha_k.
+    """
+    nodes = list(_preorder(root))
+    right, end = [0] * len(nodes), [0] * len(nodes)  # end: one past the subtree
+    for i in reversed(range(len(nodes))):
+        if nodes[i].is_leaf:
+            end[i] = i + 1
+        else:
+            right[i] = end[i + 1]
+            end[i] = end[right[i]]
+
+    leaf_sses = [[node.sse] for node in nodes]  # each subtree's current leaves
+    strength = [math.nan] * len(nodes)
+    gone = [0.0 if node.is_leaf else math.nan for node in nodes]
+    changed = [True] * len(nodes)  # in the current pass; all, in the first
+    live = [i for i, node in enumerate(nodes) if not node.is_leaf]
+    alphas = [0.0]
+    while True:
+        alpha = alphas[-1]
+        for i in reversed(live):  # children before their parent
+            if changed[i + 1] or changed[right[i]]:
+                leaf_sses[i] = leaf_sses[i + 1] + leaf_sses[right[i]]
+                strength[i] = (nodes[i].sse - sum(leaf_sses[i])) / (len(leaf_sses[i]) - 1)
+                changed[i] = True
+            # a NaN strength collapses too, so pruning always ends
+            if not strength[i] > alpha:
+                gone[i], leaf_sses[i], changed[i] = alpha, [nodes[i].sse], True
+        survivors, cut_until = [], 0
+        for i in live:
+            if i >= cut_until:  # not cut away with a collapsed ancestor
+                if gone[i] == alpha:
+                    cut_until = end[i]
+                else:
+                    survivors.append(i)
+        if not survivors:
+            return nodes, right, gone, alphas
+        live, changed = survivors, [False] * len(nodes)
+        # a link that survives a pass is stronger than its threshold, so the
+        # next alpha is strictly greater
+        alphas.append(min(strength[i] for i in live))
+
+
 def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
     """Weakest-link cost-complexity pruning.
 
     Returns the nested sequence [(alpha_0=0, T_0), ..., (alpha_K, root-only)]
     where T_0 already drops any zero-gain splits, each T_{k+1} collapses the
-    weakest links of T_k, and alphas increase strictly. Each tree is built
-    from the previous one and shares its unchanged subtrees; the input tree
-    is left as it is.
+    weakest links of T_k, and alphas increase strictly. Each tree shares
+    every subtree it leaves unchanged with the tree before it (T_0 with the
+    input tree, which is left as it is).
     """
-
-    def prune(node: TreeNode, threshold: float) -> tuple[TreeNode, list[float], float]:
-        """The subtree with every link no stronger than `threshold` collapsed,
-        bottom up; its leaf SSEs in preorder; its weakest remaining link."""
-        if node.is_leaf:
-            return node, [node.sse], math.inf
-        left, left_sses, left_weakest = prune(node.left, threshold)
-        right, right_sses, right_weakest = prune(node.right, threshold)
-        leaf_sses = left_sses + right_sses
-        strength = (node.sse - sum(leaf_sses)) / (len(leaf_sses) - 1)
-        # a NaN strength collapses too, so the loop below always ends
-        if not strength > threshold:
-            return TreeNode(node.rows, node.mean, node.sse), [node.sse], math.inf
-        if left is not node.left or right is not node.right:
-            node = replace(node, left=left, right=right)
-        return node, leaf_sses, min(strength, left_weakest, right_weakest)
-
-    # a link that survives a pass is stronger than its threshold and its
-    # subtree never changes again, so the next alpha is strictly greater
-    root, _, alpha = prune(tree.root, 0.0)
-    sequence = [(0.0, replace(tree, root=root))]
-    while not root.is_leaf:
-        root, _, next_alpha = prune(root, alpha)
-        sequence.append((alpha, replace(tree, root=root)))
-        alpha = next_alpha
+    nodes, right, gone, alphas = _weakest_links(tree.root)
+    above = [0] * len(nodes)  # each node's parent; the root's is itself
+    cut = {}  # per step alpha, the nodes that stop being internal at it
+    for i, node in enumerate(nodes):
+        if not node.is_leaf:
+            above[i + 1] = above[right[i]] = i
+            cut.setdefault(gone[i], []).append(i)
+    pruned, sequence = nodes[:], []
+    for alpha in alphas:
+        # the nodes cut at this step and every node above them
+        stale = set()
+        for i in cut.get(alpha, ()):
+            while i not in stale:
+                stale.add(i)
+                i = above[i]
+        for i in sorted(stale, reverse=True):  # children before their parent
+            node = nodes[i]
+            if gone[i] <= alpha:
+                pruned[i] = TreeNode(node.rows, node.mean, node.sse)
+            else:
+                pruned[i] = TreeNode(node.rows, node.mean, node.sse, node.rule, node.improvement,
+                                     pruned[i + 1], pruned[right[i]])
+        sequence.append((alpha, RegressionTree(pruned[0], tree.table, tree.minsplit, tree.minbucket)))
     return sequence
+
+
+def _route(root: TreeNode, x: np.ndarray):
+    """Each node that a record of `x` reaches, parents before children, with
+    the indices of those records and the node's depth. A missing value on a
+    routed variable is an error."""
+    stack = [(root, np.arange(len(x)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        yield node, rows, depth
+        if not node.is_leaf:
+            left = node.rule.mask(x[rows, node.rule.var])
+            for child, reached in ((node.right, rows[~left]), (node.left, rows[left])):
+                if len(reached):
+                    stack.append((child, reached, depth + 1))
 
 
 def _preorder(node: TreeNode):
@@ -546,18 +606,28 @@ def cross_validate(
         for i, a in enumerate(alphas)
     ]
 
+    # a fold tree is pruned at its last step at or below an eval alpha, or
+    # at its step 0 (alpha 0) if none is, as for a NaN eval alpha
+    at = np.fmax(eval_alphas, 0.0)[:, None, None]
+
     sq_errors = np.zeros((len(eval_alphas), table.n))
-    for fold, (keep, root) in enumerate(zip(keeps, fold_roots)):
+    for fold, root in enumerate(fold_roots):
         holdout = np.flatnonzero(assignment == fold)
-        fold_seq = prune_sequence(RegressionTree(root, table.subset(keep), minsplit, minbucket))
-        # neighbouring alphas often select the same pruned tree: predict once
-        errors_by_tree = {}
-        for i, alpha in enumerate(eval_alphas):
-            pruned = _tree_at_alpha(fold_seq, alpha)
-            if id(pruned) not in errors_by_tree:
-                preds = pruned.predict(table.x[holdout])
-                errors_by_tree[id(pruned)] = (table.y[holdout] - preds) ** 2
-            sq_errors[i, holdout] = errors_by_tree[id(pruned)]
+        nodes, _, gone, _ = _weakest_links(root)
+        alpha_of = dict(zip(map(id, nodes), gone))
+        reached = list(_route(root, table.x[holdout]))
+        # each holdout row's path through the fold tree: its nodes' alphas
+        # and means, by depth
+        path_gone = np.full((len(holdout), 1 + max(depth for *_, depth in reached)), -np.inf)
+        path_mean = np.zeros(path_gone.shape)
+        for node, rows, depth in reached:
+            path_gone[rows, depth] = alpha_of[id(node)]
+            path_mean[rows, depth] = node.mean
+        # a row's leaf in the fold tree pruned at an alpha is the first node
+        # on its path that is a leaf by then; every path ends in a grown leaf
+        stop = np.argmax(path_gone <= at, axis=2)
+        preds = path_mean[np.arange(len(holdout)), stop]
+        sq_errors[:, holdout] = (table.y[holdout] - preds) ** 2
 
     cv_mean = sq_errors.mean(axis=1)
     cv_se = sq_errors.std(axis=1, ddof=1) / math.sqrt(table.n)
@@ -572,16 +642,6 @@ def cross_validate(
             for i in range(len(sequence))
         ],
     )
-
-
-def _tree_at_alpha(sequence: list[tuple[float, RegressionTree]], alpha: float) -> RegressionTree:
-    chosen = sequence[0][1]
-    for a, tree in sequence:
-        if a <= alpha:
-            chosen = tree
-        else:
-            break
-    return chosen
 
 
 def variable_importance(tree: RegressionTree) -> dict[str, float]:

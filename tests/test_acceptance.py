@@ -14,7 +14,12 @@ from epiforecast.arima import ArimaOrder
 from epiforecast.series import LOG_TRANSFORM, TransformSpec, diff_values, undiff_values, acf
 
 from conftest import make_series
-from test_tree import enumerate_pruned_subtrees, oracle_best_split, oracle_optimal_subtree
+from test_tree import (
+    enumerate_pruned_subtrees,
+    oracle_best_split,
+    oracle_optimal_subtree,
+    tree_at_alpha,
+)
 
 TABLE2_ARIMA_RMSE = {
     "india": (ArimaOrder(1, 2, 1), 50.83),
@@ -147,7 +152,7 @@ def test_criterion_6_cart_oracle_equivalence():
         probes += [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
         probes.append(alphas[-1] * 2 + 1)
         match = all(
-            tree._tree_at_alpha(sequence, alpha).leaf_signature()
+            tree_at_alpha(sequence, alpha).leaf_signature()
             == oracle_optimal_subtree(candidates, alpha)[0]
             for alpha in probes
         )

@@ -1,6 +1,7 @@
 """Regression-tree tests: toy cases, brute-force oracles for splitting and
 pruning, cross-validation behavior, importance and prediction."""
 
+import gc
 import math
 import warnings
 
@@ -192,6 +193,115 @@ def assert_prunes_like_reference(fitted):
     assert [a.hex() for a, _ in got] == [a.hex() for a, _ in expected]
     assert [t.to_dict() for _, t in got] == [d for _, d in expected]
     assert fitted.to_dict() == before
+
+
+def tree_at_alpha(sequence, alpha):
+    """The tree of the last step whose alpha is at most `alpha`, or step 0's
+    if none is (a NaN `alpha`, say)."""
+    chosen = sequence[0][1]
+    for a, fitted in sequence:
+        if a <= alpha:
+            chosen = fitted
+        else:
+            break
+    return chosen
+
+
+def reference_cross_validate(table, minsplit=None, minbucket=None, folds=10, seed=0):
+    """`cross_validate` as pruned fold trees computed it: each fold tree
+    grown alone, its whole pruning sequence built, and the tree at every
+    eval alpha predicting the fold's holdout rows."""
+    full = grow(table, minsplit, minbucket)
+    assignment = np.empty(table.n, dtype=int)
+    assignment[np.random.default_rng(seed).permutation(table.n)] = np.arange(table.n) % folds
+    sequence = prune_sequence(full)
+    alphas = [a for a, _ in sequence]
+    eval_alphas = [
+        math.sqrt(a * alphas[i + 1]) if i + 1 < len(alphas) else a
+        for i, a in enumerate(alphas)
+    ]
+    sq_errors = np.zeros((len(eval_alphas), table.n))
+    for fold in range(folds):
+        holdout = np.flatnonzero(assignment == fold)
+        fitted = grow(table.subset(np.flatnonzero(assignment != fold)), full.minsplit, full.minbucket)
+        fold_seq = prune_sequence(fitted)
+        for i, alpha in enumerate(eval_alphas):
+            preds = tree_at_alpha(fold_seq, alpha).predict(table.x[holdout])
+            sq_errors[i, holdout] = (table.y[holdout] - preds) ** 2
+    cv_mean = sq_errors.mean(axis=1)
+    cv_se = sq_errors.std(axis=1, ddof=1) / math.sqrt(table.n)
+    best_i = int(np.argmin(cv_mean))
+    cutoff = cv_mean[best_i] + cv_se[best_i]
+    chosen = max([best_i, *(i for i, m in enumerate(cv_mean) if m <= cutoff)])
+    rows = [(alphas[i], sequence[i][1].n_leaves(), float(cv_mean[i]), float(cv_se[i]))
+            for i in range(len(sequence))]
+    return alphas[chosen], sequence[chosen][1], rows
+
+
+def assert_cross_validates_like_reference(table, **kwargs):
+    cv = cross_validate(table, **kwargs)
+    alpha, chosen, rows = reference_cross_validate(table, **kwargs)
+
+    def exact(rows):
+        return [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in rows]
+
+    assert exact(cv.table) == exact(rows)
+    assert cv.alpha.hex() == alpha.hex()
+    # repr, as NaN != NaN: the trees of a non-finite response hold NaN
+    assert repr(cv.tree.to_dict()) == repr(chosen.to_dict())
+
+
+def record_grown_trees(monkeypatch) -> list:
+    """Patch `tree._grow_together` so that every tree it grows is appended
+    to the returned list, as a RegressionTree on its subset of the table."""
+    grown = []
+    grow_together = tree._grow_together
+
+    def recording(table, roots, minsplit, minbucket):
+        built = grow_together(table, roots, minsplit, minbucket)
+        grown.extend(tree.RegressionTree(root, table.subset(rows), minsplit, minbucket)
+                     for rows, root in zip(roots, built))
+        return built
+
+    monkeypatch.setattr(tree, "_grow_together", recording)
+    return grown
+
+
+def extreme_table(response):
+    """A 30-row table whose response is infinite at one row ("inf": the
+    root's SSE is NaN, and so is every link strength above it) or holds
+    finite values whose squared deviations overflow ("overflow"), or
+    finite values near 1e153 whose SSEs are finite ("huge": link strengths
+    near 1e306, whose products overflow)."""
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(30, 2))
+    if response == "inf":
+        y = rng.normal(size=30)
+        y[7] = np.inf
+    elif response == "overflow":
+        y = rng.choice([-1e200, 1e200], size=30)
+    else:
+        y = 1e153 * (rng.normal(size=30) + 3.0 * (x[:, 0] < 0))
+    return table_from_arrays(x, y)
+
+
+def categorical_table(rng):
+    """A random table of 8-60 rows with one to three categorical columns of
+    2-5 levels, up to two numeric ones (some rounded, so tied) and a response
+    that depends on the first column."""
+    n = int(rng.integers(8, 61))
+    kinds, columns = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        kinds.append(tree.CATEGORICAL)
+        columns.append(rng.integers(0, int(rng.integers(2, 6)), n).astype(float))
+    for _ in range(int(rng.integers(0, 3))):
+        kinds.append(tree.NUMERIC)
+        columns.append(np.round(rng.normal(size=n), int(rng.integers(0, 3))))
+    order = rng.permutation(len(kinds))
+    x = np.column_stack(columns)[:, order]
+    y = rng.normal(size=n) + 2.0 * columns[0]
+    names = tuple(f"v{i}" for i in range(len(kinds)))
+    return Table(names, tuple(np.array(kinds)[order].tolist()), x, y)
 
 
 def oracle_route(fitted, row):
@@ -483,6 +593,16 @@ class TestGrow:
         with pytest.raises(ValueError, match="minsplit"):
             grow(tbl, minsplit=3, minbucket=2)
 
+    def test_minbucket_must_be_positive(self):
+        # with minbucket 0 the cut midway between -inf and inf (a NaN
+        # threshold) would leave its left side empty
+        inf = np.inf
+        tbl = table_from_arrays([[-inf], [inf], [1], [2], [3], [inf]], [0, 5, 1, 2, 3, 6])
+        with pytest.raises(ValueError, match="^minbucket must be at least 1, got 0$"):
+            grow(tbl, minsplit=2, minbucket=0)
+        with pytest.raises(ValueError, match="^minbucket must be at least 1, got -1$"):
+            cross_validate(tbl, minsplit=2, minbucket=-1, folds=2)
+
     def test_cfr_training_quality(self, cfr_table):
         fitted = grow(cfr_table, minsplit=5, minbucket=1)
         preds = fitted.predict(cfr_table.x)
@@ -593,9 +713,7 @@ class TestPrune:
 
     @pytest.mark.parametrize("minsplit", [9, None])
     def test_bit_identical_to_reference_on_cfr_folds(self, cfr_table, monkeypatch, minsplit):
-        grown = []
-        prune = tree.prune_sequence
-        monkeypatch.setattr(tree, "prune_sequence", lambda t: grown.append(t) or prune(t))
+        grown = record_grown_trees(monkeypatch)
         for seed in range(3):
             cross_validate(cfr_table, minsplit=minsplit, folds=10, seed=seed)
         # the full table's tree plus ten fold subsets per seed
@@ -607,16 +725,7 @@ class TestPrune:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("response", ["inf", "overflow"])
     def test_non_finite_response_prunes_to_root(self, response):
-        rng = np.random.default_rng(24)
-        x = rng.normal(size=(30, 2))
-        if response == "inf":
-            # the root's SSE is NaN, and so is every link strength above the inf
-            y = rng.normal(size=30)
-            y[7] = np.inf
-        else:
-            # finite values whose squared deviations overflow
-            y = rng.choice([-1e200, 1e200], size=30)
-        tbl = table_from_arrays(x, y)
+        tbl = extreme_table(response)
         sequence = prune_sequence(grow(tbl, minsplit=5, minbucket=1))
         assert sequence[-1][1].root.is_leaf
         assert cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=0).tree.root.is_leaf
@@ -636,7 +745,7 @@ class TestPrune:
         probes.append(alphas[-1] * 2.0 + 1.0)
         for alpha in probes:
             sig, _, _ = oracle_optimal_subtree(candidates, alpha)
-            mine = tree._tree_at_alpha(sequence, alpha)
+            mine = tree_at_alpha(sequence, alpha)
             assert mine.leaf_signature() == sig
 
 
@@ -664,16 +773,10 @@ class TestCrossValidate:
     def test_folds_grow_under_the_full_tree_controls(self, monkeypatch):
         rng = np.random.default_rng(27)
         tbl = table_from_arrays(rng.normal(size=(51, 3)), rng.normal(size=51))
-        controls = []
-        prune = tree.prune_sequence
-
-        def recording_prune(fitted):
-            controls.append((fitted.minsplit, fitted.minbucket))
-            return prune(fitted)
-
-        # the full tree, then each fold tree, is pruned once
-        monkeypatch.setattr(tree, "prune_sequence", recording_prune)
+        # the full tree, then each fold tree, is grown once
+        grown = record_grown_trees(monkeypatch)
         cross_validate(tbl, folds=10, seed=0)
+        controls = [(fitted.minsplit, fitted.minbucket) for fitted in grown]
         # the full tree resolves (6, 2) from 51 rows; a fold of 45 or 46 rows
         # would resolve (5, 1) on its own
         assert controls[0] == (6, 2)
@@ -682,9 +785,7 @@ class TestCrossValidate:
     @pytest.mark.parametrize("folds", [5, 10])
     @pytest.mark.parametrize("minsplit", [None, 9])
     def test_fold_trees_equal_trees_grown_alone(self, cfr_table, monkeypatch, minsplit, folds):
-        grown = []
-        prune = tree.prune_sequence
-        monkeypatch.setattr(tree, "prune_sequence", lambda t: grown.append(t) or prune(t))
+        grown = record_grown_trees(monkeypatch)
         for seed in range(5):
             grown.clear()
             cross_validate(cfr_table, minsplit=minsplit, folds=folds, seed=seed)
@@ -700,6 +801,34 @@ class TestCrossValidate:
                 assert fitted.table.x.tobytes() == sub.x.tobytes()
                 assert fitted.table.y.tobytes() == sub.y.tobytes()
                 assert_same_tree(fitted, grow(sub, full.minsplit, full.minbucket))
+
+    @pytest.mark.parametrize("folds", [5, 10])
+    @pytest.mark.parametrize("minsplit", [None, 9])
+    def test_matches_pruned_fold_trees_on_cfr(self, cfr_table, minsplit, folds):
+        for seed in range(10):
+            assert_cross_validates_like_reference(cfr_table, minsplit=minsplit, folds=folds, seed=seed)
+
+    def test_matches_pruned_fold_trees_on_categorical_tables(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            tbl = categorical_table(rng)
+            minbucket = int(rng.integers(1, 4))
+            assert_cross_validates_like_reference(
+                tbl, minsplit=2 * minbucket + int(rng.integers(0, 3)), minbucket=minbucket,
+                folds=int(rng.integers(2, 11)), seed=int(rng.integers(1000)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("response", ["inf", "overflow", "huge"])
+    def test_matches_pruned_fold_trees_on_extreme_responses(self, response):
+        tbl = extreme_table(response)
+        for seed in range(5):
+            assert_cross_validates_like_reference(tbl, minsplit=5, minbucket=1, folds=10, seed=seed)
+        if response == "huge":
+            # an eval alpha, the geometric midpoint of two steps, is inf
+            cv = cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=0)
+            alphas = [a for a, _, _, _ in cv.table]
+            assert any(math.isinf(a * b) for a, b in zip(alphas, alphas[1:]))
 
     def test_fold_count_validated(self):
         tbl = table_from_arrays(np.arange(6.0)[:, None], np.arange(6.0))
@@ -808,6 +937,17 @@ class TestPredict:
         nudged = base.copy()
         nudged[0] += eps * 0.9
         assert fitted.predict(nudged)[0] == value
+
+    def test_prediction_leaves_no_reference_cycles(self, cfr_table):
+        fitted = grow(cfr_table, minsplit=5, minbucket=1)
+        gc.collect()
+        gc.disable()
+        try:
+            fitted.predict(cfr_table.x)
+            # nothing that predict made waits for the cycle collector
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_wrong_width_rejected(self):
         tbl = table_from_arrays(
