@@ -287,8 +287,8 @@ def extreme_table(response):
 
 def categorical_table(rng):
     """A random table of 8-60 rows with one to three categorical columns of
-    2-5 levels, up to two numeric ones (some rounded, so tied) and a response
-    that depends on the first column."""
+    2-5 levels, up to two numeric ones (some rounded, so tied), the columns
+    shuffled, and a response that depends on the first categorical column."""
     n = int(rng.integers(8, 61))
     kinds, columns = [], []
     for _ in range(int(rng.integers(1, 4))):
