@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arima, datasets, hybrid, metrics, svgplot, tree, wavelet
+# Each command imports the modules it runs, so that risktree, eval and fetch
+# never load the forecaster. The series loader stays a name of this module,
+# which bench/tracing.py patches.
 from .series import load_series_csv
 
 
@@ -92,6 +94,8 @@ def _publish(args, files: dict) -> list[Path]:
 
 
 def cmd_fetch(args) -> int:
+    from . import datasets
+
     names = [*datasets.BUNDLED_SERIES, datasets.CFR_TABLE]
     wanted = names if args.source == "all" else [args.source]
     for name in wanted:
@@ -107,6 +111,8 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    from . import arima, hybrid, metrics, svgplot, wavelet
+
     path = Path(args.input)
     stem = path.stem
     s = load_series_csv(path)
@@ -156,6 +162,8 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_risktree(args) -> int:
+    from . import datasets, metrics, svgplot, tree
+
     table = datasets.load_cfr_csv(args.input)
     cv = tree.cross_validate(table, minsplit=args.minsplit, folds=args.folds, seed=args.seed)
     fitted = cv.tree
@@ -191,6 +199,8 @@ def cmd_risktree(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics
+
     actual = _read_dated_column(args.actual, value_field="cases")
     predicted = _read_dated_column(args.forecast, value_field=args.column)
     shared = sorted(set(actual) & set(predicted))
@@ -279,7 +289,7 @@ def main(argv=None) -> int:
             sub.choices[args.command].set_defaults(**load_config_file(args.config, args.command, flags))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError, arima.ConvergenceError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

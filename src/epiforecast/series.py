@@ -202,7 +202,8 @@ def load_series_csv(path) -> TimeSeries:
             raise ValueError(f"{path}: expected header 'date,cases', got {header}")
         dates: list[dt.date] = []
         values: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # the row's last line: a quoted cell may span several
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 2:

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 import sys
-from xml.sax.saxutils import escape
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 _SANS = 'font-family="sans-serif"'
 _MIDDLE = f'text-anchor="middle" {_SANS}'
 _MAX = sys.float_info.max
+_BOX_W, _BOX_H = 118, 40  # a tree diagram's node box
 
 
 def _fmt(v) -> str:
@@ -35,6 +35,14 @@ def _svg(width: int, height: int, parts: list[str]) -> str:
 def _line(start, end, style: str) -> str:
     (x1, y1), (x2, y2) = start, end
     return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
+
+
+def escape(text: str) -> str:
+    """`text` as XML character data: `&`, `<` and `>` as entity references,
+    `&` first so that the other two are not escaped twice. This is
+    `xml.sax.saxutils.escape` without its extra entities, whose import loads
+    `urllib.request`, `http.client`, `ssl` and `email`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _text(at, style: str, content: str) -> str:
@@ -116,7 +124,6 @@ def tree_diagram(tree) -> str:
     """Render a fitted regression tree as nested boxes with split labels."""
     names = tree.table.names
     width, level_h = 900, 86
-    box_w, box_h = 118, 40
 
     # layout: leaves take slots 0, 1, ... left to right, and a split sits
     # midway between its children, one level above them
@@ -135,27 +142,30 @@ def tree_diagram(tree) -> str:
     centre = {key: (70 + (width - 140) * slot[key] / span, 30.0 + level[key] * level_h)
               for key in slot}
     parts = []
-
-    def draw(node):
-        cx, cy = centre[id(node)]
-        if not node.is_leaf:
-            for child, side in ((node.left, "yes"), (node.right, "no")):
-                ccx, ccy = centre[id(child)]
-                parts.append(_line((cx, cy + box_h / 2), (ccx, ccy - box_h / 2), 'stroke="#666"'))
-                mx, my = (cx + ccx) / 2, (cy + box_h / 2 + ccy - box_h / 2) / 2
-                parts.append(_text((mx, my), f'{_MIDDLE} font-size="9" fill="#666"', side))
-            draw(node.left)
-            draw(node.right)
-        fill = "#eef5ee" if node.is_leaf else "#eef2f8"
-        parts.append(
-            f'<rect x="{_fmt(cx - box_w / 2)}" y="{_fmt(cy - box_h / 2)}" '
-            f'width="{box_w}" height="{box_h}" rx="4" fill="{fill}" stroke="#555"/>'
-        )
-        parts.append(_text((cx, cy - 2), f'{_MIDDLE} font-size="11"',
-                           f"{node.mean:.3f} (n={len(node.rows)})"))
-        if not node.is_leaf:
-            parts.append(_text((cx, cy + 13), f'{_MIDDLE} font-size="9"',
-                               node.rule.describe(names)))
-
-    draw(tree.root)
+    _draw(tree.root, centre, names, parts)
     return _svg(width, (max(level.values()) + 1) * level_h + 40, parts)
+
+
+def _draw(node, centre: dict, names, parts: list) -> None:
+    """Append the elements of `node`'s subtree to `parts`: its edges, its
+    children's subtrees, then its own box. A module-level function, so that
+    drawing leaves no reference cycle as a nested function calling itself does."""
+    cx, cy = centre[id(node)]
+    if not node.is_leaf:
+        for child, side in ((node.left, "yes"), (node.right, "no")):
+            ccx, ccy = centre[id(child)]
+            parts.append(_line((cx, cy + _BOX_H / 2), (ccx, ccy - _BOX_H / 2), 'stroke="#666"'))
+            mx, my = (cx + ccx) / 2, (cy + _BOX_H / 2 + ccy - _BOX_H / 2) / 2
+            parts.append(_text((mx, my), f'{_MIDDLE} font-size="9" fill="#666"', side))
+        _draw(node.left, centre, names, parts)
+        _draw(node.right, centre, names, parts)
+    fill = "#eef5ee" if node.is_leaf else "#eef2f8"
+    parts.append(
+        f'<rect x="{_fmt(cx - _BOX_W / 2)}" y="{_fmt(cy - _BOX_H / 2)}" '
+        f'width="{_BOX_W}" height="{_BOX_H}" rx="4" fill="{fill}" stroke="#555"/>'
+    )
+    parts.append(_text((cx, cy - 2), f'{_MIDDLE} font-size="11"',
+                       f"{node.mean:.3f} (n={len(node.rows)})"))
+    if not node.is_leaf:
+        parts.append(_text((cx, cy + 13), f'{_MIDDLE} font-size="9"',
+                           node.rule.describe(names)))

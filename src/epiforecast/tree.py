@@ -143,22 +143,25 @@ class RegressionTree:
         return frozenset(frozenset(leaf.rows.tolist()) for leaf in self.leaves())
 
     def to_dict(self) -> dict:
-        def node_dict(node: TreeNode) -> dict:
-            out = {"count": len(node.rows), "mean": float(node.mean), "sse": float(node.sse)}
-            if not node.is_leaf:
-                out["split"] = node.rule.describe(self.table.names)
-                out["variable"] = self.table.names[node.rule.var]
-                out["improvement"] = float(node.improvement)
-                out["left"] = node_dict(node.left)
-                out["right"] = node_dict(node.right)
-            return out
-
         return {
             "minsplit": self.minsplit,
             "minbucket": self.minbucket,
             "n_leaves": self.n_leaves(),
-            "root": node_dict(self.root),
+            "root": _node_dict(self.root, self.table.names),
         }
+
+
+def _node_dict(node: TreeNode, names) -> dict:
+    """`node`'s subtree as nested dicts. A module-level function, so that it
+    leaves no reference cycle as a nested function calling itself does."""
+    out = {"count": len(node.rows), "mean": float(node.mean), "sse": float(node.sse)}
+    if not node.is_leaf:
+        out["split"] = node.rule.describe(names)
+        out["variable"] = names[node.rule.var]
+        out["improvement"] = float(node.improvement)
+        out["left"] = _node_dict(node.left, names)
+        out["right"] = _node_dict(node.right, names)
+    return out
 
 
 def _sse(values: np.ndarray) -> tuple[float, np.ndarray, float]:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,16 @@ def make_series(values, start=dt.date(2020, 3, 1)) -> TimeSeries:
     values = np.asarray(values, dtype=float)
     dates = tuple(start + dt.timedelta(days=i) for i in range(len(values)))
     return TimeSeries(dates=dates, values=values)
+
+
+def run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports this package; its stdout."""
+    src = str(Path(datasets.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

@@ -9,11 +9,9 @@ import os
 import pickle
 import re
 import signal
-import subprocess
 import sys
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from epiforecast import arima, metrics, wavelet
 from epiforecast.arima import ArimaOrder, fit_arima, forecast_arima, forecast_transformed, select_order
 from epiforecast.series import LOG_TRANSFORM, NO_TRANSFORM, diff_values
 
-from conftest import make_series
+from conftest import make_series, run_fresh
 
 
 def sim_ar1(seed, n=500, phi=0.7):
@@ -684,16 +682,6 @@ class TestCellScheduler:
         assert order == select_order(values, max_p=2, max_q=2)
 
 
-def _run_fresh(code, *args):
-    """Run `code` in a fresh interpreter that imports this package; its stdout."""
-    src = str(Path(arima.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 _RISKTREE_MODULES = """
 import sys
 from importlib import resources
@@ -725,11 +713,11 @@ print(cases)
 
 class TestKernelLoader:
     def test_risktree_process_never_imports_scipy_signal(self, tmp_path):
-        assert _run_fresh(_RISKTREE_MODULES, tmp_path).splitlines()[-1] == "[]"
+        assert run_fresh(_RISKTREE_MODULES, tmp_path).splitlines()[-1] == "[]"
         assert (tmp_path / "risktree.json").is_file()
 
     def test_later_scipy_signal_import_is_whole_and_matches_lfilter(self):
-        assert _run_fresh(_LFILTER_PARITY).split() == ["120"]
+        assert run_fresh(_LFILTER_PARITY).split() == ["120"]
 
     def test_loaded_module_is_reused(self):
         import scipy.signal

@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import gc
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from epiforecast import arima, cli
+from epiforecast import arima, cli, hybrid, svgplot, tree, wavelet
 
 
 def run_cli(*argv):
@@ -143,7 +144,7 @@ class TestForecast:
         assert len(read_csv(out / "india_forecast.csv")) == 4
 
     def test_zero_horizon_flag_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
-        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             run_cli("forecast", str(data_dir / "india.csv"), "--horizon", "0", "--out", str(out))
@@ -152,7 +153,7 @@ class TestForecast:
         assert not out.exists()
 
     def test_zero_horizon_config_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
-        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
         config = tmp_path / "run.cfg"
         config.write_text("# no empty forecasts\nhorizon = 0\n")
         out = tmp_path / "o"
@@ -171,7 +172,7 @@ class TestForecast:
 
     def test_repeated_config_key_rejected(self, tmp_path, data_dir, monkeypatch, capsys):
         # the first value would be read and then silently replaced
-        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
         config = tmp_path / "run.cfg"
         config.write_text("horizon = 5\nhorizon = 7\n")
         out = tmp_path / "o"
@@ -212,7 +213,9 @@ class TestForecast:
         (["2020-03-01,4", "2020-03-02,5", "2020-03-02,6"],
          "4: date 2020-03-02 is not the day after 2020-03-02"),
         (["2020-03-01,4", "2020-03-03,5"], "3: date 2020-03-03 is not the day after 2020-03-01"),
-    ], ids=["nan", "inf", "repeated-date", "gap"])
+        # a quoted cell that spans lines 2 and 3
+        (['2020-03-01,"4', '"', "2020-03-02,x"], "4: bad count 'x'"),
+    ], ids=["nan", "inf", "repeated-date", "gap", "after-two-line-cell"])
     def test_bad_series_row_names_file_and_line(self, tmp_path, capsys, rows, message):
         # 20 good days follow, so that the row under test is the only fault
         last = dt.date.fromisoformat(rows[-1].split(",")[0])
@@ -232,7 +235,7 @@ class TestForecast:
         def fail(values):
             raise error
 
-        monkeypatch.setattr(cli.wavelet, "wbf_fit", fail)
+        monkeypatch.setattr(wavelet, "wbf_fit", fail)
         path = write_series(tmp_path / "flat.csv", [42] * 30)
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == f"forecast: {path}: {error}\n"
@@ -240,7 +243,7 @@ class TestForecast:
 
     def test_seed_flag_rejected(self, data_dir, monkeypatch, capsys):
         # the forecast draws nothing at random, so it has no seed to take
-        monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+        monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
         with pytest.raises(SystemExit) as exc:
             run_cli("forecast", str(data_dir / "india.csv"), "--seed", "0")
         assert exc.value.code == 2
@@ -273,7 +276,7 @@ def test_config_key_of_another_command_rejected(tmp_path, data_dir, capsys, argv
                          ids=["fetch", "forecast", "risktree", "eval"])
 def test_empty_out_rejected(tmp_path, data_dir, monkeypatch, capsys, argv):
     # an empty directory name would write into the current directory
-    monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+    monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
     command, *inputs = argv
     paths = inputs if command == "fetch" else [str(data_dir / name) for name in inputs]
     work = tmp_path / "work"
@@ -298,7 +301,7 @@ def test_empty_out_rejected(tmp_path, data_dir, monkeypatch, capsys, argv):
     ("risktree", "seed = -1"),
 ])
 def test_non_integer_config_value_names_file_and_line(tmp_path, data_dir, monkeypatch, capsys, command, line):
-    monkeypatch.setattr(cli.hybrid, "fit_hybrid", _must_not_fit)
+    monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
     config = tmp_path / "run.cfg"
     config.write_text(f"out = {tmp_path / 'o'}\n{line}\n")
     key, _, text = (part.strip() for part in line.partition("="))
@@ -315,7 +318,7 @@ def test_failed_render_writes_nothing(tmp_path, data_dir, monkeypatch, capsys, c
     def fail(*args, **kwargs):
         raise ValueError("cannot render")
 
-    monkeypatch.setattr(cli.svgplot, renderer, fail)
+    monkeypatch.setattr(svgplot, renderer, fail)
     source = (write_series(tmp_path / "flat.csv", [42] * 30) if command == "forecast"
               else data_dir / "cfr_countries.csv")
     out = tmp_path / "o"
@@ -372,6 +375,18 @@ class TestRisktree:
         importance = read_csv(out / "importance.csv")
         assert len(importance) == 10
         ET.fromstring((out / "risktree.svg").read_text())
+
+    def test_run_leaves_no_tree_node_in_reference_cycles(self, tmp_path, data_dir):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
+        try:
+            assert run_cli("risktree", str(data_dir / "cfr_countries.csv"), "--out", str(tmp_path)) == 0
+            gc.collect()
+            cyclic = sum(isinstance(obj, tree.TreeNode) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert cyclic == 0
 
     def test_constant_response_flagged(self, tmp_path, data_dir):
         rows = read_csv(data_dir / "cfr_countries.csv")
@@ -450,7 +465,7 @@ class TestRisktree:
         assert f"{path}:7: column total_cases_thousands: not a number: 'many'" in capsys.readouterr().err
 
     def test_negative_seed_flag_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
-        monkeypatch.setattr(cli.tree, "cross_validate", _must_not_fit)
+        monkeypatch.setattr(tree, "cross_validate", _must_not_fit)
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             run_cli("risktree", str(data_dir / "cfr_countries.csv"), "--seed", "-1", "--out", str(out))

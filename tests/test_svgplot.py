@@ -36,6 +36,14 @@ def test_line_chart_bytes():
     assert _sha256(svg) == "c10bef26fd840c7e6d2b36f4407a9cbcc168d018a1a4e9e5f851f3fa1f068107"
 
 
+@pytest.mark.parametrize("text", ["", "&", "<", ">", "&amp;lt;", "a < b && c > d",
+                                  "\"double\" and 'single' quotes", "Côte d’Ivoire → 東京 &"])
+def test_escape_matches_the_standard_library(text):
+    from xml.sax.saxutils import escape
+
+    assert svgplot.escape(text) == escape(text)
+
+
 def test_tree_diagram_bytes(cfr_table):
     svg = svgplot.tree_diagram(tree.grow(cfr_table))
     assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="900" ')

@@ -8,7 +8,8 @@ writes:
 
 - `series/`: the bundled datasets, `long_full.csv`, the benchmark's seed-0
   long series of 1000 days (`bench/inputs.long_series`), and `long.csv`,
-  its first 990 days;
+  its first 990 days, and `a&b<c>.csv`, a copy of `india.csv` whose stem
+  holds every character that the SVG text escapes;
 - `forecast/<name>/`: `forecast` on each series but `long_full`;
 - `eval/eval.json`: `eval` of the `long` forecast against `long_full.csv`;
 - `risktree/seed<S>/` and `risktree/seed<S>_minsplit9/`: `risktree` on the
@@ -35,6 +36,7 @@ from inputs import HORIZON, LONG_DAYS, LONG_START, long_series  # noqa: E402
 
 FOLD_SEEDS = range(35)
 FIVE_FOLD_SEEDS = range(10)
+ESCAPED = "a&b<c>"
 
 
 def run(*argv) -> None:
@@ -55,7 +57,8 @@ def main() -> None:
     rows = [f"{LONG_START + dt.timedelta(days=i)},{int(c)}" for i, c in enumerate(counts)]
     (series / "long_full.csv").write_text("date,cases\n" + "\n".join(rows) + "\n")
     (series / "long.csv").write_text("date,cases\n" + "\n".join(rows[:-HORIZON]) + "\n")
-    for name in [*datasets.BUNDLED_SERIES, "long"]:
+    (series / f"{ESCAPED}.csv").write_bytes((series / "india.csv").read_bytes())
+    for name in [*datasets.BUNDLED_SERIES, "long", ESCAPED]:
         run("forecast", series / f"{name}.csv", "--out", out / "forecast" / name)
     run("eval", series / "long_full.csv", out / "forecast" / "long" / "long_forecast.csv",
         "--out", out / "eval")
