@@ -6,10 +6,11 @@ import atexit
 import math
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from operator import add, neg
+from operator import add, lt, neg
 
 import numpy as np
 
@@ -192,8 +193,8 @@ def _stability_violation(coeffs) -> float:
     return 0.0
 
 
-def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int = 0):
-    """The AR step's operands for w from column `start` on: (coef, rows, where, out).
+def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int):
+    """The stacked AR step's operands for w from column `start` on: (coef, rows, where, out).
 
     `rows` stacks w, a row of ones if `use_intercept`, and w lagged by 1..p;
     `where` is False where a lag reaches back before t = 0 (True if nowhere).
@@ -217,35 +218,57 @@ def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int = 0):
     return np.ones((len(rows), 1)), rows, where, np.zeros(rows.shape)
 
 
-# Not merged with `_objective`: the residuals would match bit for bit, but the
-# shared helper makes every objective evaluation slower (ROADMAP, "Measured
-# and not pursued").
 def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
-    coef, rows, where, out = _ar_terms(w, len(phi), True)
-    coef[1:, 0] = [intercept, *phi]
-    np.multiply(coef, rows, out, where=where)
-    u = np.subtract.reduce(out)
+    u = w - intercept
+    for i, c in enumerate(phi, 1):
+        u[i:] -= c * w[:-i]
     if len(theta):
         u = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), u, -1)
     return u
 
 
-def _objective_args(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int) -> tuple:
-    """The `args` of `_objective` for one (p, q) cell, built once per fit.
+# The AR step's form is chosen by series length. The stacked step makes one
+# masked multiply by a coefficient column and one reduction for any p; the
+# per-lag step makes p multiplies by a scalar, each cheaper per element but
+# dearer per call. Both subtract the same terms in the same order. One
+# objective evaluation with an intercept, µs, stacked / per-lag (best of 12
+# interleaved rounds, one process; Python 3.11, numpy 2.4, 2 CPUs):
+#
+#   n        54            200           400           990
+#   p1 q0    4.88 / 3.81   5.38 / 3.90   5.83 / 4.08   8.08 / 4.60
+#   p3 q2    8.96 / 9.74  10.73 / 10.60 12.96 / 11.00 20.39 / 16.08
+#   p5 q0    5.30 / 8.22   6.22 / 8.72   7.84 / 8.58  14.12 / 11.13
+#   p5 q5    9.62 / 12.28 12.79 / 14.01 15.59 / 15.36 27.01 / 22.38
+#
+# The crossover moves from below 54 (p = 1) to about 200 (p = 3) and 400-990
+# (p = 5). Taking the per-lag step for p = 1 at any length as well saved
+# only 0-4% of the fitting time on the bundled India and South Korea series
+# (`tools/ab_cells.py`), so the length alone decides.
+_PER_LAG_MIN_N = 400
+
+
+def _objective_for(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int) -> tuple:
+    """(objective, args) for one (p, q) cell, built once per fit: `_objective`
+    below `_PER_LAG_MIN_N` values, `_objective_per_lag` from there on.
 
     Without an MA part only the scored residuals, from `n_cond` on, are
     computed; an MA filter needs them all and drops the first `n_cond`.
     """
     start = 0 if q else n_cond
+    n = len(w)
+    if n >= _PER_LAG_MIN_N:
+        out = np.empty(n - start)
+        lags = [(out[max(i - start, 0):], w[max(start - i, 0) : n - i]) for i in range(1, p + 1)]
+        return _objective_per_lag, (p, q, n_cond - start, w[start:], out, lags)
     ar = _ar_terms(w, p, use_intercept, start) if p else (None,) * 4
-    return (p, q, n_cond - start, w[start:], *ar)
+    return _objective, (p, q, n_cond - start, w[start:], *ar)
 
 
 def _objective(params: list, p: int, q: int, skip: int, w, coef, rows, where, out) -> float:
     """log CSS at `params` = ([intercept], phi_1..phi_p, theta_1..theta_q),
     plus a barrier outside the invertible, stationary region; the rest are
-    the `_objective_args`."""
+    the args `_objective_for` builds."""
     k = len(params) - q
     violation = 0.0
     if p:
@@ -258,6 +281,31 @@ def _objective(params: list, p: int, q: int, skip: int, w, coef, rows, where, ou
     else:
         # no AR term: w - intercept, or w itself, which the MA filter only reads
         eps = w - params[0] if k else w
+    if q:
+        theta = params[k:]
+        if not sum(map(abs, theta)) <= 0.99:
+            violation += _stability_violation(theta)
+        eps = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), eps, -1)[skip:]
+    sse = float(np.dot(eps, eps))
+    if violation > 0.0:
+        sse = sse * (1.0 + 100.0 * violation) + violation
+    return math.log(max(sse, 1e-300))
+
+
+def _objective_per_lag(params: list, p: int, q: int, skip: int, w, out, lags) -> float:
+    """`_objective` with the per-lag AR step: `out` = w - intercept, then
+    phi_i times each `lags` pair's lagged w subtracted from its view of `out`.
+    Kept apart, not a branch in `_objective`, so that short series, where
+    the cost of a call sets the run time, run no extra line."""
+    k = len(params) - q
+    violation = 0.0
+    eps = np.subtract(w, params[0] if k > p else 0.0, out)
+    if p:
+        phi = params[k - p : k]
+        if not sum(map(abs, phi)) <= 0.99:
+            violation = _stability_violation(phi)
+        for c, (head, lagged) in zip(phi, lags):
+            head -= c * lagged
     if q:
         theta = params[k:]
         if not sum(map(abs, theta)) <= 0.99:
@@ -282,8 +330,16 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
     Vertices are lists of floats and `func` receives them as lists: on at
     most a dozen coordinates, numpy calls cost more than the arithmetic.
     Each sum runs row by row from the first row, as numpy's reduction does,
-    so that signed zeros match. The re-sort stays `np.argsort`: it is not
-    stable on ties, and no Python sort reproduces its order.
+    so that signed zeros match.
+
+    An iteration without a shrink replaces only the last vertex. If the
+    other N values are strictly increasing and the new value equals none of
+    them, the sorted order is unique, so moving the new vertex to its
+    `bisect_left` place gives `np.argsort`'s permutation. Otherwise (a
+    shrink, a tie, ±0 included, or NaN among the N values) the re-sort is
+    `np.argsort`: it is not stable on ties, and no Python sort reproduces
+    its order. A new value cannot be NaN: each branch keeps a value only
+    after it compared below another.
     """
     N = len(x0)
     x0 = x0.tolist()
@@ -299,6 +355,9 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
         ind = np.array(fsim).argsort().tolist()
         sim = [sim[i] for i in ind]
         fsim = [fsim[i] for i in ind]
+    # fsim[:N] strictly increasing: no tie and, for N >= 2, no NaN; a lone
+    # NaN first value means every value is NaN, and then every iteration shrinks
+    ordered = all(map(lt, fsim[: N - 1], fsim[1:N]))
 
     iterations = 1
     while iterations < maxiter:
@@ -348,10 +407,19 @@ def _nelder_mead(func, x0: np.ndarray, args: tuple, maxiter: int):
                 for j in range(1, N + 1):
                     sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                     fsim[j] = func(sim[j], *args)
+                ordered = False
         iterations += 1
-        ind = np.array(fsim).argsort().tolist()
-        sim = [sim[i] for i in ind]
-        fsim = [fsim[i] for i in ind]
+        if ordered:
+            j = bisect_left(fsim, fsim[-1], 0, N)
+            ordered = j == N or fsim[j] != fsim[-1]
+            if ordered and j < N:
+                sim.insert(j, sim.pop())
+                fsim.insert(j, fsim.pop())
+        if not ordered:
+            ind = np.array(fsim).argsort().tolist()
+            sim = [sim[i] for i in ind]
+            fsim = [fsim[i] for i in ind]
+            ordered = all(map(lt, fsim[: N - 1], fsim[1:N]))
     return np.array(sim[0]), np.min(fsim), iterations < maxiter
 
 
@@ -364,19 +432,19 @@ def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
         intercept = float(w[0]) if use_intercept else 0.0
         return np.zeros(p), np.zeros(q), intercept
 
-    args = _objective_args(w, p, q, use_intercept, n_cond)
+    func, args = _objective_for(w, p, q, use_intercept, n_cond)
     budget = 150 + 100 * nparams
     # probe points far outside the stationary region overflow the residual
     # recursion; the objective is meant to be inf or nan there
     with np.errstate(over="ignore", invalid="ignore"):
-        x, fun, converged = _nelder_mead(_objective, np.zeros(nparams), args, budget)
+        x, fun, converged = _nelder_mead(func, np.zeros(nparams), args, budget)
         for delta in (0.1, -0.1):
-            x_r, fun_r, success = _nelder_mead(_objective, x + delta, args, budget)
+            x_r, fun_r, success = _nelder_mead(func, x + delta, args, budget)
             converged = converged or success
             if fun_r < fun:
                 x, fun = x_r, fun_r
         if not converged:
-            x_r, fun_r, converged = _nelder_mead(_objective, x, args, budget * 4)
+            x_r, fun_r, converged = _nelder_mead(func, x, args, budget * 4)
             if fun_r <= fun:
                 x = x_r
             if not converged:

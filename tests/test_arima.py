@@ -285,14 +285,21 @@ class TestSimplexParity:
         args = (w, p, q, True, p)
         assert _bits(_package_estimate(*args)) == _bits(_ref_estimate(*args))
 
+    @pytest.mark.parametrize("p, q", [(1, 0), (3, 2), (5, 1)])
+    def test_per_lag_cells(self, p, q):
+        # at the length threshold, where `_estimate` takes the per-lag AR step
+        w = sim_ar1(3, n=arima._PER_LAG_MIN_N, phi=0.5) + sim_ma1(4, n=arima._PER_LAG_MIN_N)
+        args = (w, p, q, True, arima.MAX_P)
+        assert _bits(_package_estimate(*args)) == _bits(_ref_estimate(*args))
+
     @pytest.mark.parametrize("x0", [np.zeros(4), np.full(4, 0.1)])
     def test_single_runs_match_minimize(self, country_series, x0):
         w = diff_values(LOG_TRANSFORM.forward(country_series["uk"].values), 1)
         args = (w, 2, 1, True, 5)
         for maxiter in (12, 550):  # exhausted, then converged
             ref = _ref_minimize(x0, args, maxiter)
-            x, fun, success = arima._nelder_mead(arima._objective, x0,
-                                                 arima._objective_args(*args), maxiter)
+            func, func_args = arima._objective_for(*args)
+            x, fun, success = arima._nelder_mead(func, x0, func_args, maxiter)
             assert x.tobytes() == ref.x.tobytes()
             assert float(fun).hex() == float(ref.fun).hex()
             assert success == ref.success == (maxiter == 550)
@@ -320,12 +327,12 @@ class TestSimplexParity:
             assert values == snapshot  # the argument is left untouched
 
     @staticmethod
-    def _random_cases(rng, count):
+    def _random_cases(rng, count, lengths=(20, 64, 990)):
         """(w, phi, theta, intercept) with signed zeros in w, negative and
-        non-finite coefficients, p, q <= 5 and n in {20, 64, 990}."""
+        non-finite coefficients, p, q <= 5 and n drawn from `lengths`."""
         special = [np.inf, -np.inf, np.nan, -0.0, 0.0]
         for _ in range(count):
-            n = int(rng.choice([20, 64, 990]))
+            n = int(rng.choice(lengths))
             p, q = (int(v) for v in rng.integers(0, 6, 2))
             w = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
             w[rng.random(n) < 0.2] = -0.0
@@ -348,9 +355,13 @@ class TestSimplexParity:
                 assert got.tobytes() == expected.tobytes(), (len(w), phi, theta, intercept)
 
     def test_objective_matches_reference(self):
+        # both AR step forms: the stacked one below the length threshold, the
+        # per-lag one from it on
+        threshold = arima._PER_LAG_MIN_N
+        lengths = (20, 64, threshold - 1, threshold, 990)
         rng = np.random.default_rng(8)
         with np.errstate(all="ignore"):
-            for w, phi, theta, intercept in self._random_cases(rng, 600):
+            for w, phi, theta, intercept in self._random_cases(rng, 600, lengths):
                 p, q = len(phi), len(theta)
                 use_intercept = bool(rng.random() < 0.5)
                 params = np.concatenate([[intercept] if use_intercept else [], phi, theta])
@@ -358,10 +369,11 @@ class TestSimplexParity:
                     continue
                 args = (w, p, q, use_intercept, int(rng.integers(p, p + 3)))
                 expected = _ref_objective(params, *args)
-                got = arima._objective(params.tolist(), *arima._objective_args(*args))
+                func, func_args = arima._objective_for(*args)
+                got = func(params.tolist(), *func_args)
                 assert float(got).hex() == float(expected).hex(), (args[1:], params)
 
-    @pytest.mark.parametrize("name", ["plateaus", "non_finite"])
+    @pytest.mark.parametrize("name", ["plateaus", "non_finite", "late_ties", "late_nan"])
     def test_ties_and_non_finite_values_match_minimize(self, name):
         def plateaus(x):
             # piecewise constant: vertices tie in runs, which argsort need not
@@ -379,7 +391,26 @@ class TestSimplexParity:
                 return math.inf
             return float(np.floor(8.0 * np.sum((x[:-1] - 0.7) ** 2)))
 
-        func = {"plateaus": plateaus, "non_finite": non_finite}[name]
+        def late_ties(x):
+            # a smooth bowl with a flat floor of +-0: ties appear only once
+            # the simplex has descended onto it
+            x = np.asarray(x)
+            s = float(np.sum((x - 1.0) ** 2)) - 0.04
+            if s > 0.0:
+                return s
+            return -0.0 if x[0] < 1.0 else 0.0
+
+        def late_nan(x):
+            # smooth but not convex, and NaN on stripes across x[0]: NaN values
+            # appear after tie-free iterations, and contractions fail, so the
+            # simplex shrinks
+            x = np.asarray(x)
+            if (4.0 * x[0]) % 1.0 < 0.25:
+                return math.nan
+            return float(np.sum((x - 1.5) ** 2 + 0.3 * np.sin(9.0 * x)))
+
+        func = {"plateaus": plateaus, "non_finite": non_finite,
+                "late_ties": late_ties, "late_nan": late_nan}[name]
         rng = np.random.default_rng(9)
         for _ in range(60):
             n = int(rng.integers(1, 8))
