@@ -249,8 +249,9 @@ _PER_LAG_MIN_N = 400
 
 
 def _objective_for(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int) -> tuple:
-    """(objective, args) for one (p, q) cell, built once per fit: `_objective`
-    below `_PER_LAG_MIN_N` values, `_objective_per_lag` from there on.
+    """The args of `_objective` for one (p, q) cell, built once per fit: the
+    stacked AR step's terms below `_PER_LAG_MIN_N` values, the per-lag
+    step's views from there on.
 
     Without an MA part only the scored residuals, from `n_cond` on, are
     computed; an MA filter needs them all and drops the first `n_cond`.
@@ -260,52 +261,37 @@ def _objective_for(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: i
     if n >= _PER_LAG_MIN_N:
         out = np.empty(n - start)
         lags = [(out[max(i - start, 0):], w[max(start - i, 0) : n - i]) for i in range(1, p + 1)]
-        return _objective_per_lag, (p, q, n_cond - start, w[start:], out, lags)
+        return p, q, n_cond - start, w[start:], lags, None, None, None, out
     ar = _ar_terms(w, p, use_intercept, start) if p else (None,) * 4
-    return _objective, (p, q, n_cond - start, w[start:], *ar)
+    return p, q, n_cond - start, w[start:], None, *ar
 
 
-def _objective(params: list, p: int, q: int, skip: int, w, coef, rows, where, out) -> float:
+def _objective(params: list, p: int, q: int, skip: int, w, lags, coef, rows, where, out) -> float:
     """log CSS at `params` = ([intercept], phi_1..phi_p, theta_1..theta_q),
     plus a barrier outside the invertible, stationary region; the rest are
-    the args `_objective_for` builds."""
+    the args `_objective_for` builds.
+
+    With `lags`, `out` = w - intercept, then phi_i times each pair's lagged
+    w is subtracted from its view of `out`; without, one masked multiply of
+    the stacked terms and one reduction. Both subtract the same terms in
+    the same order."""
     k = len(params) - q
     violation = 0.0
     if p:
         phi = params[k - p : k]
         if not sum(map(abs, phi)) <= 0.99:
             violation = _stability_violation(phi)
-        coef[1:, 0] = params[:k]
-        np.multiply(coef, rows, out, where=where)
-        eps = np.subtract.reduce(out)
+        if lags:
+            eps = np.subtract(w, params[0] if k > p else 0.0, out)
+            for c, (head, lagged) in zip(phi, lags):
+                head -= c * lagged
+        else:
+            coef[1:, 0] = params[:k]
+            np.multiply(coef, rows, out, where=where)
+            eps = np.subtract.reduce(out)
     else:
         # no AR term: w - intercept, or w itself, which the MA filter only reads
         eps = w - params[0] if k else w
-    if q:
-        theta = params[k:]
-        if not sum(map(abs, theta)) <= 0.99:
-            violation += _stability_violation(theta)
-        eps = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), eps, -1)[skip:]
-    sse = float(np.dot(eps, eps))
-    if violation > 0.0:
-        sse = sse * (1.0 + 100.0 * violation) + violation
-    return math.log(max(sse, 1e-300))
-
-
-def _objective_per_lag(params: list, p: int, q: int, skip: int, w, out, lags) -> float:
-    """`_objective` with the per-lag AR step: `out` = w - intercept, then
-    phi_i times each `lags` pair's lagged w subtracted from its view of `out`.
-    Kept apart, not a branch in `_objective`, so that short series, where
-    the cost of a call sets the run time, run no extra line."""
-    k = len(params) - q
-    violation = 0.0
-    eps = np.subtract(w, params[0] if k > p else 0.0, out)
-    if p:
-        phi = params[k - p : k]
-        if not sum(map(abs, phi)) <= 0.99:
-            violation = _stability_violation(phi)
-        for c, (head, lagged) in zip(phi, lags):
-            head -= c * lagged
     if q:
         theta = params[k:]
         if not sum(map(abs, theta)) <= 0.99:
@@ -432,19 +418,19 @@ def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
         intercept = float(w[0]) if use_intercept else 0.0
         return np.zeros(p), np.zeros(q), intercept
 
-    func, args = _objective_for(w, p, q, use_intercept, n_cond)
+    args = _objective_for(w, p, q, use_intercept, n_cond)
     budget = 150 + 100 * nparams
     # probe points far outside the stationary region overflow the residual
     # recursion; the objective is meant to be inf or nan there
     with np.errstate(over="ignore", invalid="ignore"):
-        x, fun, converged = _nelder_mead(func, np.zeros(nparams), args, budget)
+        x, fun, converged = _nelder_mead(_objective, np.zeros(nparams), args, budget)
         for delta in (0.1, -0.1):
-            x_r, fun_r, success = _nelder_mead(func, x + delta, args, budget)
+            x_r, fun_r, success = _nelder_mead(_objective, x + delta, args, budget)
             converged = converged or success
             if fun_r < fun:
                 x, fun = x_r, fun_r
         if not converged:
-            x_r, fun_r, converged = _nelder_mead(func, x, args, budget * 4)
+            x_r, fun_r, converged = _nelder_mead(_objective, x, args, budget * 4)
             if fun_r <= fun:
                 x = x_r
             if not converged:

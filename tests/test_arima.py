@@ -298,8 +298,8 @@ class TestSimplexParity:
         args = (w, 2, 1, True, 5)
         for maxiter in (12, 550):  # exhausted, then converged
             ref = _ref_minimize(x0, args, maxiter)
-            func, func_args = arima._objective_for(*args)
-            x, fun, success = arima._nelder_mead(func, x0, func_args, maxiter)
+            x, fun, success = arima._nelder_mead(
+                arima._objective, x0, arima._objective_for(*args), maxiter)
             assert x.tobytes() == ref.x.tobytes()
             assert float(fun).hex() == float(ref.fun).hex()
             assert success == ref.success == (maxiter == 550)
@@ -369,8 +369,7 @@ class TestSimplexParity:
                     continue
                 args = (w, p, q, use_intercept, int(rng.integers(p, p + 3)))
                 expected = _ref_objective(params, *args)
-                func, func_args = arima._objective_for(*args)
-                got = func(params.tolist(), *func_args)
+                got = arima._objective(params.tolist(), *arima._objective_for(*args))
                 assert float(got).hex() == float(expected).hex(), (args[1:], params)
 
     @pytest.mark.parametrize("name", ["plateaus", "non_finite", "late_ties", "late_nan"])

@@ -1,18 +1,13 @@
 """Time two checkouts' ARIMA estimator on the same cells, in one process.
 
-    python3 tools/ab_cells.py CHECKOUT_A CHECKOUT_B SERIES.csv [--rounds R]
+    python3 tools/ab_cells.py CHECKOUT_A CHECKOUT_B SERIES.csv
 
-Records every `arima._estimate` call of `epiforecast forecast SERIES.csv`
-run with CHECKOUT_A's package, then replays the calls R times (default 2),
-each in both checkouts, the side that goes first alternating by call. The
-grid-cell pool is off. It fails if a result (coefficients, intercept or a
-convergence failure) differs in one byte, and prints each side's total per
-round: side by side in one process, host speed drift mostly cancels.
+Records the `arima._estimate` calls of `epiforecast forecast SERIES.csv` with
+CHECKOUT_A's package and replays them twice in both checkouts, grid-cell pool
+off, the side that goes first alternating by call. Fails if a result differs
+in one byte; prints each side's total per round, where host drift mostly cancels.
 """
 
-from __future__ import annotations
-
-import argparse
 import contextlib
 import importlib
 import io
@@ -36,8 +31,7 @@ def load(checkout: Path, name: str):
 
 
 def record(arima, cli, series: Path) -> list:
-    """The (w, p, q, use_intercept, n_cond) of every `_estimate` call that a
-    `forecast` of `series` makes."""
+    """The args (w, p, q, use_intercept, n_cond) of each `_estimate` call."""
     calls = []
     estimate = arima._estimate
 
@@ -65,21 +59,18 @@ def timed(arima, call) -> tuple[float, object]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for name in ("a", "b", "series"):
-        parser.add_argument(name, type=Path)
-    parser.add_argument("--rounds", type=int, default=2)
-    args = parser.parse_args()
-    arima_a, cli_a = load(args.a, "_ab_side_a")
-    calls = record(arima_a, cli_a, args.series)
-    sides = (arima_a, load(args.b, "_ab_side_b")[0])
-    print(f"{args.series}: {len(calls)} _estimate calls")
-    for r in range(args.rounds):
+    if len(sys.argv) != 4:
+        sys.exit("usage: " + __doc__.splitlines()[2].strip())
+    a, b, series = map(Path, sys.argv[1:])
+    arima_a, cli_a = load(a, "_ab_side_a")
+    calls = record(arima_a, cli_a, series)
+    sides = (arima_a, load(b, "_ab_side_b")[0])
+    print(f"{series}: {len(calls)} _estimate calls")
+    for r in range(2):
         totals = [0.0, 0.0]
         for i, call in enumerate(calls):
-            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
             bits = [None, None]
-            for side in order:
+            for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
                 seconds, bits[side] = timed(sides[side], call)
                 totals[side] += seconds
             if bits[0] != bits[1]:
