@@ -55,25 +55,36 @@ def load_cfr_table() -> tree.Table:
 
 
 def load_cfr_csv(path) -> tree.Table:
-    """Read a risk-factor CSV into a Table, reporting schema problems per column."""
+    """Read a risk-factor CSV into a Table, reporting schema problems per
+    column; a column named twice, or a row whose field count differs from the
+    header's, is refused with its line."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        missing = [name for name, _ in CFR_COLUMNS if name not in reader.fieldnames]
-        if CFR_RESPONSE not in reader.fieldnames:
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise ValueError(f"{path}:{reader.line_num}: column {name} appears twice")
+        missing = [name for name, _ in CFR_COLUMNS if name not in header]
+        if CFR_RESPONSE not in header:
             missing.append(CFR_RESPONSE)
         if missing:
             raise ValueError(f"{path}: missing required columns: {', '.join(missing)}")
         rows = []
         responses = []
-        for record in reader:
-            lineno = reader.line_num  # counts the blank lines DictReader skips
+        for fields in reader:
+            if not fields:  # a blank line
+                continue
+            lineno = reader.line_num  # counts the blank lines skipped
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+            record = dict(zip(header, fields))
             row = []
             for name, kind in CFR_COLUMNS:
                 try:
                     value = float(record[name])
-                except (TypeError, ValueError):
+                except ValueError:
                     raise ValueError(f"{path}:{lineno}: column {name}: not a number: {record[name]!r}")
                 if not np.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: column {name}: must be finite")
@@ -87,7 +98,7 @@ def load_cfr_csv(path) -> tree.Table:
                 row.append(value)
             try:
                 y = float(record[CFR_RESPONSE])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: column {CFR_RESPONSE}: not a number: {record[CFR_RESPONSE]!r}"
                 )

@@ -122,50 +122,50 @@ def line_chart(
 
 def tree_diagram(tree) -> str:
     """Render a fitted regression tree as nested boxes with split labels."""
-    names = tree.table.names
     width, level_h = 900, 86
 
     # layout: leaves take slots 0, 1, ... left to right, and a split sits
     # midway between its children, one level above them
     nodes = tree.nodes()  # preorder, so the leaves come left to right
-    level = {id(tree.root): 0}
-    slot = {}
-    for node in nodes:
-        if node.is_leaf:
-            slot[id(node)] = len(slot)
+    level, slot = [0] * len(tree.rule), [0] * len(tree.rule)
+    leaves = 0
+    for i in nodes:
+        if tree.is_leaf(i):
+            slot[i], leaves = leaves, leaves + 1
         else:
-            level[id(node.left)] = level[id(node.right)] = level[id(node)] + 1
-    span = max(len(slot) - 1, 1)
-    for node in reversed(nodes):  # children before their parent
-        if not node.is_leaf:
-            slot[id(node)] = (slot[id(node.left)] + slot[id(node.right)]) / 2.0
-    centre = {key: (70 + (width - 140) * slot[key] / span, 30.0 + level[key] * level_h)
-              for key in slot}
+            level[i + 1] = level[tree.right[i]] = level[i] + 1
+    span = max(leaves - 1, 1)
+    for i in reversed(nodes):  # children before their parent
+        if not tree.is_leaf(i):
+            slot[i] = (slot[i + 1] + slot[tree.right[i]]) / 2.0
+    centre = [(70 + (width - 140) * slot[i] / span, 30.0 + level[i] * level_h)
+              for i in range(len(slot))]
     parts = []
-    _draw(tree.root, centre, names, parts)
-    return _svg(width, (max(level.values()) + 1) * level_h + 40, parts)
+    _draw(tree, 0, centre, parts)
+    return _svg(width, (max(level) + 1) * level_h + 40, parts)
 
 
-def _draw(node, centre: dict, names, parts: list) -> None:
-    """Append the elements of `node`'s subtree to `parts`: its edges, its
+def _draw(tree, i: int, centre: list, parts: list) -> None:
+    """Append the elements of node `i`'s subtree to `parts`: its edges, its
     children's subtrees, then its own box. A module-level function, so that
     drawing leaves no reference cycle as a nested function calling itself does."""
-    cx, cy = centre[id(node)]
-    if not node.is_leaf:
-        for child, side in ((node.left, "yes"), (node.right, "no")):
-            ccx, ccy = centre[id(child)]
+    cx, cy = centre[i]
+    leaf = tree.is_leaf(i)
+    if not leaf:
+        for child, side in ((i + 1, "yes"), (tree.right[i], "no")):
+            ccx, ccy = centre[child]
             parts.append(_line((cx, cy + _BOX_H / 2), (ccx, ccy - _BOX_H / 2), 'stroke="#666"'))
             mx, my = (cx + ccx) / 2, (cy + _BOX_H / 2 + ccy - _BOX_H / 2) / 2
             parts.append(_text((mx, my), f'{_MIDDLE} font-size="9" fill="#666"', side))
-        _draw(node.left, centre, names, parts)
-        _draw(node.right, centre, names, parts)
-    fill = "#eef5ee" if node.is_leaf else "#eef2f8"
+        _draw(tree, i + 1, centre, parts)
+        _draw(tree, tree.right[i], centre, parts)
+    fill = "#eef5ee" if leaf else "#eef2f8"
     parts.append(
         f'<rect x="{_fmt(cx - _BOX_W / 2)}" y="{_fmt(cy - _BOX_H / 2)}" '
         f'width="{_BOX_W}" height="{_BOX_H}" rx="4" fill="{fill}" stroke="#555"/>'
     )
     parts.append(_text((cx, cy - 2), f'{_MIDDLE} font-size="11"',
-                       f"{node.mean:.3f} (n={len(node.rows)})"))
-    if not node.is_leaf:
+                       f"{tree.mean[i]:.3f} (n={len(tree.rows[i])})"))
+    if not leaf:
         parts.append(_text((cx, cy + 13), f'{_MIDDLE} font-size="9"',
-                           node.rule.describe(names)))
+                           tree.rule[i].describe(tree.table.names)))

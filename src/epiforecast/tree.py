@@ -4,7 +4,7 @@ cross-validated size selection and variable importance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,44 +86,68 @@ class SplitRule:
 
 
 @dataclass(frozen=True, eq=False)
-class TreeNode:
-    rows: np.ndarray
-    mean: float
-    sse: float
-    rule: SplitRule | None = None
-    improvement: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
-
-
-@dataclass
 class RegressionTree:
-    root: TreeNode
+    """A grown tree's nodes in preorder, each before its left then its right
+    subtree, as parallel lists, read at one step alpha of its weakest-link
+    pruning. A node is a leaf there if it was grown as one or its pruning
+    alpha (`gone`) is at most `alpha`: at -inf nothing is pruned. The trees
+    of a pruning sequence share one set of lists."""
+
+    rule: list  # each node's split, None at a grown leaf
+    right: list[int]  # each split's right child; its left child is the next node
+    mean: list[float]
+    sse: list[float]
+    improvement: list[float]  # each split's SSE reduction, 0 at a grown leaf
+    rows: list[np.ndarray]  # each node's rows of `table`
+    gone: list[float]  # the step alpha at which each node stops being internal
     table: Table
     minsplit: int
     minbucket: int
+    alpha: float
 
-    def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes() if n.is_leaf]
+    def is_leaf(self, i: int) -> bool:
+        return self.rule[i] is None or self.gone[i] <= self.alpha
 
-    def nodes(self) -> list[TreeNode]:
-        return list(_preorder(self.root))
+    def nodes(self) -> list[int]:
+        """The indices of this tree's nodes in preorder; sums over them, in
+        `training_sse` and importance, depend on this order."""
+        out, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            out.append(i)
+            if not self.is_leaf(i):
+                stack += (self.right[i], i + 1)
+        return out
 
-    def internal_nodes(self) -> list[TreeNode]:
-        return [n for n in self.nodes() if not n.is_leaf]
+    def leaves(self) -> list[int]:
+        return [i for i in self.nodes() if self.is_leaf(i)]
+
+    def internal_nodes(self) -> list[int]:
+        return [i for i in self.nodes() if not self.is_leaf(i)]
 
     def training_sse(self) -> float:
-        return sum(leaf.sse for leaf in self.leaves())
+        return sum(self.sse[i] for i in self.leaves())
 
     def n_leaves(self) -> int:
         return len(self.leaves())
 
     def used_variables(self) -> set[int]:
-        return {n.rule.var for n in self.internal_nodes()}
+        return {self.rule[i].var for i in self.internal_nodes()}
+
+    def _reach(self, x: np.ndarray):
+        """Each node that a record of `x` reaches, parents before children,
+        with the indices of those records and the node's depth. A missing
+        value on a routed variable is an error."""
+        stack = [(0, np.arange(len(x)), 0)]
+        while stack:
+            i, rows, depth = stack.pop()
+            yield i, rows, depth
+            if not self.is_leaf(i):
+                rule = self.rule[i]
+                left = rule.mask(x[rows, rule.var])
+                for child, reached in ((self.right[i], rows[~left]), (i + 1, rows[left])):
+                    if len(reached):
+                        stack.append((child, reached, depth + 1))
 
     def predict(self, x) -> np.ndarray:
         """Leaf means for one record or a matrix of records; a missing value
@@ -133,35 +157,28 @@ class RegressionTree:
         if x.ndim != 2 or x.shape[1] != self.table.n_vars:
             raise ValueError(f"record must have {self.table.n_vars} values")
         out = np.empty(len(x))
-        for node, rows, _ in _route(self.root, x):
-            if node.is_leaf:
-                out[rows] = node.mean
+        for i, rows, _ in self._reach(x):
+            if self.is_leaf(i):
+                out[rows] = self.mean[i]
         return out
 
     def leaf_signature(self) -> frozenset:
         """Partition of the training rows into leaves, for structural comparison."""
-        return frozenset(frozenset(leaf.rows.tolist()) for leaf in self.leaves())
+        return frozenset(frozenset(self.rows[i].tolist()) for i in self.leaves())
 
     def to_dict(self) -> dict:
-        return {
-            "minsplit": self.minsplit,
-            "minbucket": self.minbucket,
-            "n_leaves": self.n_leaves(),
-            "root": _node_dict(self.root, self.table.names),
-        }
-
-
-def _node_dict(node: TreeNode, names) -> dict:
-    """`node`'s subtree as nested dicts. A module-level function, so that it
-    leaves no reference cycle as a nested function calling itself does."""
-    out = {"count": len(node.rows), "mean": float(node.mean), "sse": float(node.sse)}
-    if not node.is_leaf:
-        out["split"] = node.rule.describe(names)
-        out["variable"] = names[node.rule.var]
-        out["improvement"] = float(node.improvement)
-        out["left"] = _node_dict(node.left, names)
-        out["right"] = _node_dict(node.right, names)
-    return out
+        names = self.table.names
+        built = {}
+        for i in reversed(self.nodes()):  # children before their parent
+            out = {"count": len(self.rows[i]), "mean": self.mean[i], "sse": self.sse[i]}
+            if not self.is_leaf(i):
+                rule = self.rule[i]
+                out.update(split=rule.describe(names), variable=names[rule.var],
+                           improvement=self.improvement[i],
+                           left=built.pop(i + 1), right=built.pop(self.right[i]))
+            built[i] = out
+        return {"minsplit": self.minsplit, "minbucket": self.minbucket,
+                "n_leaves": self.n_leaves(), "root": built[0]}
 
 
 def _sse(values: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -390,11 +407,11 @@ def _passes(level: list) -> list[list]:
     return runs
 
 
-def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> list[TreeNode]:
+def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> list[RegressionTree]:
     """One tree on each row set of `roots`, all grown level by level: every
     open node of every tree at one depth goes through one split-search pass.
-    A tree's rows are numbered as `table.subset(root)` numbers them, so it
-    equals `grow(table.subset(root), minsplit, minbucket)` node for node."""
+    Each tree reads `table.subset(root)` at -inf, and equals
+    `grow(table.subset(root), minsplit, minbucket)` node for node."""
     grown = []  # per node: its tree, rows, mean, SSE and split
     level = []  # the open nodes: (index in grown, (rows, y, centred, sse))
 
@@ -419,16 +436,26 @@ def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> 
                     grown[i][4] = (rule, reduction,
                                    add(tree, rows[mask], left), add(tree, rows[~mask], right))
 
-    # each tree numbers its rows as its subset of the table does
-    local = np.zeros((len(roots), table.n), dtype=int)
+    trees = []
     for tree, root in enumerate(roots):
-        local[tree, root] = np.arange(len(root))
-    built = [None] * len(grown)
-    for i in reversed(range(len(grown))):  # children come after their parent
-        tree, rows, mean, sse, split = grown[i]
-        children = () if split is None else (*split[:2], built[split[2]], built[split[3]])
-        built[i] = TreeNode(local[tree, rows], mean, sse, *children)
-    return built[:len(roots)]
+        order, stack = [], [tree]
+        while stack:  # each node, then its left subtree, then its right
+            i = stack.pop()
+            order.append(i)
+            split = grown[i][4]
+            if split is not None:
+                stack += (split[3], split[2])
+        place = {i: k for k, i in enumerate(order)}
+        local = np.zeros(table.n, dtype=int)  # the tree numbers its rows as its subset does
+        local[root] = np.arange(len(root))
+        _, rows, mean, sse, splits = map(list, zip(*(grown[i] for i in order)))
+        rule = [split[0] if split else None for split in splits]
+        right = [place[split[3]] if split else 0 for split in splits]
+        trees.append(RegressionTree(
+            rule, right, mean, sse, [split[1] if split else 0.0 for split in splits],
+            [local[r] for r in rows], _weakest_links(rule, right, sse),
+            table.subset(root), minsplit, minbucket, -math.inf))
+    return trees
 
 
 def _controls(table: Table, minsplit: int | None, minbucket: int | None) -> tuple[int, int]:
@@ -457,62 +484,61 @@ def grow(table: Table, minsplit: int | None = None, minbucket: int | None = None
     default with minsplit = max(5, ceil(0.1 n)) and minbucket =
     max(1, minsplit // 3). A NaN anywhere in `table.x` is refused up front."""
     minsplit, minbucket = _controls(table, minsplit, minbucket)
-    root, = _grow_together(table, [np.arange(table.n)], minsplit, minbucket)
-    return RegressionTree(root=root, table=table, minsplit=minsplit, minbucket=minbucket)
+    fitted, = _grow_together(table, [np.arange(table.n)], minsplit, minbucket)
+    return fitted
 
 
-def _weakest_links(root: TreeNode) -> tuple[list[TreeNode], list[int], list[float], list[float]]:
-    """Weakest-link cost-complexity pruning of the tree at `root`, on its
-    nodes in preorder: the nodes, each node's right child (its left child is
-    the next node), the step alpha at which each node stops being internal,
-    and the step alphas [alpha_0 = 0, ..., alpha_K], which increase strictly.
+def _weakest_links(rule: list, right: list, sse: list) -> list[float]:
+    """Weakest-link cost-complexity pruning of a tree given in preorder by
+    each node's split (None at a leaf), right child and SSE: the step alpha
+    at which each node stops being internal.
 
     Pass k collapses, bottom up, every link no stronger than alpha_k, where
     a link's strength is (sse - sum(leaf_sses)) / (leaves - 1) over its
-    current leaves in preorder; alpha_{k+1} is the weakest link that
-    survives. A leaf of the grown tree has alpha 0, and a node cut away with
-    an ancestor while still internal has NaN. A node of T_k is internal iff
-    its alpha exceeds alpha_k, so a record's leaf in T_k is the first node
-    on its path whose alpha is at most alpha_k.
+    current leaves in preorder; alpha_0 = 0 and alpha_{k+1} is the weakest
+    link that survives pass k, so the step alphas increase strictly. A leaf
+    has alpha 0, and a node cut away with an ancestor while still internal
+    has the ancestor's. So every step alpha but 0 is some node's alpha, no
+    node's alpha exceeds its parent's, and a node is internal in T_k iff
+    its alpha exceeds alpha_k.
     """
-    nodes = list(_preorder(root))
-    right, end = [0] * len(nodes), [0] * len(nodes)  # end: one past the subtree
-    for i in reversed(range(len(nodes))):
-        if nodes[i].is_leaf:
-            end[i] = i + 1
-        else:
-            right[i] = end[i + 1]
-            end[i] = end[right[i]]
-
-    leaf_sses = [[node.sse] for node in nodes]  # each subtree's current leaves
-    strength = [math.nan] * len(nodes)
-    gone = [0.0 if node.is_leaf else math.nan for node in nodes]
-    changed = [True] * len(nodes)  # in the current pass; all, in the first
-    live = [i for i, node in enumerate(nodes) if not node.is_leaf]
-    alphas = [0.0]
+    end = [0] * len(rule)  # one past each subtree
+    for i in reversed(range(len(rule))):
+        end[i] = i + 1 if rule[i] is None else end[right[i]]
+    leaf_sses = [[s] for s in sse]  # each subtree's current leaves
+    strength = [math.nan] * len(rule)
+    gone = [0.0 if r is None else math.nan for r in rule]
+    changed = [True] * len(rule)  # in the current pass; all, in the first
+    live = [i for i, r in enumerate(rule) if r is not None]
+    alpha = 0.0
     while True:
-        alpha = alphas[-1]
         for i in reversed(live):  # children before their parent
             if changed[i + 1] or changed[right[i]]:
                 leaf_sses[i] = leaf_sses[i + 1] + leaf_sses[right[i]]
-                strength[i] = (nodes[i].sse - sum(leaf_sses[i])) / (len(leaf_sses[i]) - 1)
+                strength[i] = (sse[i] - sum(leaf_sses[i])) / (len(leaf_sses[i]) - 1)
                 changed[i] = True
             # a NaN strength collapses too, so pruning always ends
             if not strength[i] > alpha:
-                gone[i], leaf_sses[i], changed[i] = alpha, [nodes[i].sse], True
+                gone[i], leaf_sses[i], changed[i] = alpha, [sse[i]], True
         survivors, cut_until = [], 0
         for i in live:
-            if i >= cut_until:  # not cut away with a collapsed ancestor
-                if gone[i] == alpha:
-                    cut_until = end[i]
-                else:
-                    survivors.append(i)
+            if i < cut_until:  # cut away with a collapsed ancestor
+                gone[i] = alpha
+            elif gone[i] == alpha:
+                cut_until = end[i]
+            else:
+                survivors.append(i)
         if not survivors:
-            return nodes, right, gone, alphas
-        live, changed = survivors, [False] * len(nodes)
+            return gone
+        live, changed = survivors, [False] * len(rule)
         # a link that survives a pass is stronger than its threshold, so the
         # next alpha is strictly greater
-        alphas.append(min(strength[i] for i in live))
+        alpha = min(strength[i] for i in live)
+
+
+def _step_alphas(tree: RegressionTree) -> list[float]:
+    """The step alphas [alpha_0 = 0, ..., alpha_K] of `tree`'s pruning."""
+    return sorted({0.0, *tree.gone})
 
 
 def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
@@ -520,58 +546,12 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
 
     Returns the nested sequence [(alpha_0=0, T_0), ..., (alpha_K, root-only)]
     where T_0 already drops any zero-gain splits, each T_{k+1} collapses the
-    weakest links of T_k, and alphas increase strictly. Each tree shares
-    every subtree it leaves unchanged with the tree before it (T_0 with the
-    input tree, which is left as it is).
+    weakest links of T_k, and alphas increase strictly. Each T_k reads the
+    lists of `tree` at alpha_k; a pruned `tree` starts the sequence as T_0.
     """
-    nodes, right, gone, alphas = _weakest_links(tree.root)
-    above = [0] * len(nodes)  # each node's parent; the root's is itself
-    cut = {}  # per step alpha, the nodes that stop being internal at it
-    for i, node in enumerate(nodes):
-        if not node.is_leaf:
-            above[i + 1] = above[right[i]] = i
-            cut.setdefault(gone[i], []).append(i)
-    pruned, sequence = nodes[:], []
-    for alpha in alphas:
-        # the nodes cut at this step and every node above them
-        stale = set()
-        for i in cut.get(alpha, ()):
-            while i not in stale:
-                stale.add(i)
-                i = above[i]
-        for i in sorted(stale, reverse=True):  # children before their parent
-            node = nodes[i]
-            if gone[i] <= alpha:
-                pruned[i] = TreeNode(node.rows, node.mean, node.sse)
-            else:
-                pruned[i] = TreeNode(node.rows, node.mean, node.sse, node.rule, node.improvement,
-                                     pruned[i + 1], pruned[right[i]])
-        sequence.append((alpha, RegressionTree(pruned[0], tree.table, tree.minsplit, tree.minbucket)))
-    return sequence
-
-
-def _route(root: TreeNode, x: np.ndarray):
-    """Each node that a record of `x` reaches, parents before children, with
-    the indices of those records and the node's depth. A missing value on a
-    routed variable is an error."""
-    stack = [(root, np.arange(len(x)), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        yield node, rows, depth
-        if not node.is_leaf:
-            left = node.rule.mask(x[rows, node.rule.var])
-            for child, reached in ((node.right, rows[~left]), (node.left, rows[left])):
-                if len(reached):
-                    stack.append((child, reached, depth + 1))
-
-
-def _preorder(node: TreeNode):
-    """The subtree's nodes, each before its left then its right subtree; sums
-    over them, in `training_sse` and importance, depend on this order."""
-    yield node
-    if not node.is_leaf:
-        yield from _preorder(node.left)
-        yield from _preorder(node.right)
+    start = max(tree.alpha, 0.0)
+    return [(0.0, replace(tree, alpha=start)),
+            *((a, replace(tree, alpha=a)) for a in _step_alphas(tree) if a > start)]
 
 
 @dataclass
@@ -599,10 +579,8 @@ def cross_validate(
     keeps = [np.flatnonzero(assignment != fold) for fold in range(folds)]
     # the full tree and every fold tree grow together, under the size
     # controls resolved for the full table
-    full_root, *fold_roots = _grow_together(table, [np.arange(table.n), *keeps],
-                                            minsplit, minbucket)
-    sequence = prune_sequence(RegressionTree(full_root, table, minsplit, minbucket))
-    alphas = [a for a, _ in sequence]
+    full, *fold_trees = _grow_together(table, [np.arange(table.n), *keeps], minsplit, minbucket)
+    alphas = _step_alphas(full)
     # evaluate between breakpoints: geometric midpoints, the last alpha as-is
     eval_alphas = [
         math.sqrt(a * alphas[i + 1]) if i + 1 < len(alphas) else a
@@ -614,18 +592,16 @@ def cross_validate(
     at = np.fmax(eval_alphas, 0.0)[:, None, None]
 
     sq_errors = np.zeros((len(eval_alphas), table.n))
-    for fold, root in enumerate(fold_roots):
+    for fold, fitted in enumerate(fold_trees):
         holdout = np.flatnonzero(assignment == fold)
-        nodes, _, gone, _ = _weakest_links(root)
-        alpha_of = dict(zip(map(id, nodes), gone))
-        reached = list(_route(root, table.x[holdout]))
+        reached = list(fitted._reach(table.x[holdout]))
         # each holdout row's path through the fold tree: its nodes' alphas
         # and means, by depth
         path_gone = np.full((len(holdout), 1 + max(depth for *_, depth in reached)), -np.inf)
         path_mean = np.zeros(path_gone.shape)
-        for node, rows, depth in reached:
-            path_gone[rows, depth] = alpha_of[id(node)]
-            path_mean[rows, depth] = node.mean
+        for i, rows, depth in reached:
+            path_gone[rows, depth] = fitted.gone[i]
+            path_mean[rows, depth] = fitted.mean[i]
         # a row's leaf in the fold tree pruned at an alpha is the first node
         # on its path that is a leaf by then; every path ends in a grown leaf
         stop = np.argmax(path_gone <= at, axis=2)
@@ -637,13 +613,12 @@ def cross_validate(
     best_i = int(np.argmin(cv_mean))
     cutoff = cv_mean[best_i] + cv_se[best_i]
     chosen = max([best_i, *(i for i, m in enumerate(cv_mean) if m <= cutoff)])
+    # T_k has one leaf more than its internal nodes, those whose alpha exceeds alpha_k
     return CrossValidation(
         alpha=alphas[chosen],
-        tree=sequence[chosen][1],
-        table=[
-            (alphas[i], sequence[i][1].n_leaves(), float(cv_mean[i]), float(cv_se[i]))
-            for i in range(len(sequence))
-        ],
+        tree=replace(full, alpha=alphas[chosen]),
+        table=[(a, 1 + sum(g > a for g in full.gone), float(cv_mean[i]), float(cv_se[i]))
+               for i, a in enumerate(alphas)],
     )
 
 
@@ -652,21 +627,21 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
     agreement-weighted surrogate credits, normalised to sum to 100."""
     table = tree.table
     scores = np.zeros(table.n_vars)
-    for node in tree.internal_nodes():
-        rule = node.rule
-        scores[rule.var] += node.improvement
-        went_left = rule.mask(table.x[node.rows, rule.var])
-        n_node = len(node.rows)
+    for i in tree.internal_nodes():
+        rule, rows, improvement = tree.rule[i], tree.rows[i], tree.improvement[i]
+        scores[rule.var] += improvement
+        went_left = rule.mask(table.x[rows, rule.var])
+        n_node = len(rows)
         majority = max(went_left.sum(), n_node - went_left.sum()) / n_node
         if majority >= 1.0:
             continue
         for var in range(table.n_vars):
             if var == rule.var:
                 continue
-            agree = _best_surrogate_agreement(table, node.rows, var, went_left)
+            agree = _best_surrogate_agreement(table, rows, var, went_left)
             adjusted = (agree - majority) / (1.0 - majority)
             if adjusted > 0:
-                scores[var] += node.improvement * adjusted
+                scores[var] += improvement * adjusted
     total = scores.sum()
     if total <= 0:
         return {name: 0.0 for name in table.names}

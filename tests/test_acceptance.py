@@ -146,7 +146,7 @@ def test_criterion_6_cart_oracle_equivalence():
 
         fitted = tree.grow(tbl, minsplit=8, minbucket=2)
         sequence = tree.prune_sequence(fitted)
-        candidates = enumerate_pruned_subtrees(fitted.root)
+        candidates = enumerate_pruned_subtrees(fitted)
         alphas = [a for a, _ in sequence]
         probes = [0.0]
         probes += [(a + b) / 2 for a, b in zip(alphas, alphas[1:])]
@@ -285,9 +285,9 @@ def test_criterion_9_invariant_suite():
         if not all(b >= a - 1e-9 for a, b in zip(sses, sses[1:])):
             failures.append("training sse monotone")
         for (_, big), (_, small) in zip(sequence, sequence[1:]):
-            big_leaves = [frozenset(leaf.rows.tolist()) for leaf in big.leaves()]
-            for leaf in small.leaves():
-                rows = frozenset(leaf.rows.tolist())
+            big_leaves = [frozenset(big.rows[i].tolist()) for i in big.leaves()]
+            for i in small.leaves():
+                rows = frozenset(small.rows[i].tolist())
                 if not all(b <= rows or not (b & rows) for b in big_leaves):
                     failures.append("nested subtrees")
         cases += 1

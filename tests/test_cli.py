@@ -382,7 +382,8 @@ class TestRisktree:
         try:
             assert run_cli("risktree", str(data_dir / "cfr_countries.csv"), "--out", str(tmp_path)) == 0
             gc.collect()
-            cyclic = sum(isinstance(obj, tree.TreeNode) for obj in gc.garbage)
+            # any object of a type that the tree module defines
+            cyclic = sum(type(obj).__module__ == tree.__name__ for obj in gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
@@ -450,6 +451,32 @@ class TestRisktree:
         err = capsys.readouterr().err
         assert "missing required columns" in err
         assert "population_millions" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_column_name_refused(self, tmp_path, data_dir, capsys):
+        # a second cfr column: the first, all 0.9, lies outside [0, 0.2]
+        header, *lines = (data_dir / "cfr_countries.csv").read_text().splitlines()
+        rows = [line.rsplit(",", 1) for line in lines]
+        path = tmp_path / "twice.csv"
+        path.write_text("\n".join([header + ",cfr", *(f"{head},0.9,{cfr}" for head, cfr in rows)]) + "\n")
+        assert run_cli("risktree", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"risktree: {path}:1: column cfr appears twice\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_row_of_wrong_width_refused(self, tmp_path, data_dir, capsys):
+        lines = (data_dir / "cfr_countries.csv").read_text().splitlines()
+        width = len(lines[0].split(","))
+        lines[3] += ",7"
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("risktree", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == \
+            f"risktree: {path}:4: expected {width} fields, got {width + 1}\n"
+        lines[3] = lines[3].rsplit(",", 2)[0]
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("risktree", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == \
+            f"risktree: {path}:4: expected {width} fields, got {width - 1}\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_value_names_its_line_after_a_blank_line(self, tmp_path, data_dir, capsys):

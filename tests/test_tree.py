@@ -15,7 +15,6 @@ from epiforecast.tree import (
     REDUCTION_TOL_REL,
     SplitRule,
     Table,
-    TreeNode,
     best_split,
     cross_validate,
     grow,
@@ -116,14 +115,15 @@ def oracle_surrogate_agreement(table, rows, var, went_left):
     return float(best)
 
 
-def enumerate_pruned_subtrees(node):
-    """All consistent collapsings; (leaf-signature, sum of leaf sse, n_leaves)."""
-    collapsed = (frozenset([frozenset(node.rows.tolist())]), node.sse, 1)
-    if node.is_leaf:
+def enumerate_pruned_subtrees(fitted, i=0):
+    """All consistent collapsings of grown node `i`'s subtree; (leaf-signature,
+    sum of leaf sse, n_leaves)."""
+    collapsed = (frozenset([frozenset(fitted.rows[i].tolist())]), fitted.sse[i], 1)
+    if fitted.rule[i] is None:
         return [collapsed]
     out = [collapsed]
-    for lsig, lsse, lleaves in enumerate_pruned_subtrees(node.left):
-        for rsig, rsse, rleaves in enumerate_pruned_subtrees(node.right):
+    for lsig, lsse, lleaves in enumerate_pruned_subtrees(fitted, i + 1):
+        for rsig, rsse, rleaves in enumerate_pruned_subtrees(fitted, fitted.right[i]):
             out.append((lsig | rsig, lsse + rsse, lleaves + rleaves))
     return out
 
@@ -134,50 +134,57 @@ def oracle_optimal_subtree(candidates, alpha):
 
 
 def reference_prune_sequence(fitted):
-    """Weakest-link pruning as the mutable-node implementation did it: a full
-    preorder walk for every link strength and a postorder collapsing pass per
-    alpha. Collapsed nodes are tracked by id, so `fitted` is not changed;
-    returns (alpha, `to_dict()` of the pruned tree) per step."""
+    """Weakest-link pruning of the grown tree `fitted` as the mutable-node
+    implementation did it: a full preorder walk for every link strength and
+    a postorder collapsing pass per alpha. Collapsed nodes are tracked by
+    index, so `fitted` is not changed; returns (alpha, the pruned tree as
+    `to_dict()` writes it) per step."""
     collapsed = set()
+    names = fitted.table.names
 
-    def is_leaf(node):
-        return node.is_leaf or id(node) in collapsed
+    def is_leaf(i):
+        return fitted.rule[i] is None or i in collapsed
 
-    def preorder(node):
-        yield node
-        if not is_leaf(node):
-            yield from preorder(node.left)
-            yield from preorder(node.right)
+    def preorder(i):
+        yield i
+        if not is_leaf(i):
+            yield from preorder(i + 1)
+            yield from preorder(fitted.right[i])
 
-    def postorder(node):
-        if not is_leaf(node):
-            yield from postorder(node.left)
-            yield from postorder(node.right)
-        yield node
+    def postorder(i):
+        if not is_leaf(i):
+            yield from postorder(i + 1)
+            yield from postorder(fitted.right[i])
+        yield i
 
-    def link_strength(node):
-        leaves = [n for n in preorder(node) if is_leaf(n)]
-        return (node.sse - sum(leaf.sse for leaf in leaves)) / (len(leaves) - 1)
+    def link_strength(i):
+        leaves = [j for j in preorder(i) if is_leaf(j)]
+        return (fitted.sse[i] - sum(fitted.sse[j] for j in leaves)) / (len(leaves) - 1)
 
     def collapse_at_or_below(threshold):
-        for node in postorder(fitted.root):
-            if not is_leaf(node) and link_strength(node) <= threshold:
-                collapsed.add(id(node))
+        for i in postorder(0):
+            if not is_leaf(i) and link_strength(i) <= threshold:
+                collapsed.add(i)
+
+    def node_dict(i):
+        out = {"count": len(fitted.rows[i]), "mean": fitted.mean[i], "sse": fitted.sse[i]}
+        if not is_leaf(i):
+            rule = fitted.rule[i]
+            out["split"] = rule.describe(names)
+            out["variable"] = names[rule.var]
+            out["improvement"] = fitted.improvement[i]
+            out["left"] = node_dict(i + 1)
+            out["right"] = node_dict(fitted.right[i])
+        return out
 
     def snapshot():
-        def copy(node):
-            if is_leaf(node):
-                return TreeNode(node.rows, node.mean, node.sse)
-            return TreeNode(node.rows, node.mean, node.sse, node.rule,
-                            node.improvement, copy(node.left), copy(node.right))
-
-        root = copy(fitted.root)
-        return tree.RegressionTree(root, fitted.table, fitted.minsplit, fitted.minbucket).to_dict()
+        return {"minsplit": fitted.minsplit, "minbucket": fitted.minbucket,
+                "n_leaves": sum(map(is_leaf, preorder(0))), "root": node_dict(0)}
 
     collapse_at_or_below(0.0)
     sequence = [(0.0, snapshot())]
-    while not is_leaf(fitted.root):
-        alpha = min(link_strength(n) for n in preorder(fitted.root) if not is_leaf(n))
+    while not is_leaf(0):
+        alpha = min(link_strength(i) for i in preorder(0) if not is_leaf(i))
         collapse_at_or_below(alpha)
         if alpha <= sequence[-1][0]:
             sequence[-1] = (sequence[-1][0], snapshot())
@@ -253,14 +260,13 @@ def assert_cross_validates_like_reference(table, **kwargs):
 
 def record_grown_trees(monkeypatch) -> list:
     """Patch `tree._grow_together` so that every tree it grows is appended
-    to the returned list, as a RegressionTree on its subset of the table."""
+    to the returned list."""
     grown = []
     grow_together = tree._grow_together
 
     def recording(table, roots, minsplit, minbucket):
         built = grow_together(table, roots, minsplit, minbucket)
-        grown.extend(tree.RegressionTree(root, table.subset(rows), minsplit, minbucket)
-                     for rows, root in zip(roots, built))
+        grown.extend(built)
         return built
 
     monkeypatch.setattr(tree, "_grow_together", recording)
@@ -305,11 +311,11 @@ def categorical_table(rng):
 
 
 def oracle_route(fitted, row):
-    """Leaf mean for one record, routed one value at a time as per-row
-    `SplitRule.goes_left` calls did."""
-    node = fitted.root
-    while not node.is_leaf:
-        rule = node.rule
+    """Leaf mean for one record in the grown tree `fitted`, routed one value
+    at a time as per-row `SplitRule.goes_left` calls did."""
+    i = 0
+    while fitted.rule[i] is not None:
+        rule = fitted.rule[i]
         value = row[rule.var]
         if math.isnan(value):
             raise ValueError(f"missing value for split variable {rule.var}")
@@ -317,23 +323,23 @@ def oracle_route(fitted, row):
             goes_left = value < rule.threshold
         else:
             goes_left = value in rule.left_levels
-        node = node.left if goes_left else node.right
-    return node.mean
+        i = i + 1 if goes_left else fitted.right[i]
+    return fitted.mean[i]
 
 
 def assert_same_nodes(a, b):
-    """Node for node: rows, mean, SSE, rule and improvement, bit for bit."""
-    assert a.rows.tolist() == b.rows.tolist()
-    assert (a.mean.hex(), a.sse.hex(), a.rule, a.improvement.hex()) == \
-        (b.mean.hex(), b.sse.hex(), b.rule, b.improvement.hex())
-    if not a.is_leaf:
-        assert_same_nodes(a.left, b.left)
-        assert_same_nodes(a.right, b.right)
+    """Node for node: rows, mean, SSE, rule, improvement and right child,
+    bit for bit."""
+    assert len(a.rule) == len(b.rule)
+    for i in range(len(a.rule)):
+        assert a.rows[i].tolist() == b.rows[i].tolist()
+        assert (a.mean[i].hex(), a.sse[i].hex(), a.rule[i], a.improvement[i].hex(), a.right[i]) == \
+            (b.mean[i].hex(), b.sse[i].hex(), b.rule[i], b.improvement[i].hex(), b.right[i])
 
 
 def assert_same_tree(a, b):
     assert (a.minsplit, a.minbucket) == (b.minsplit, b.minbucket)
-    assert_same_nodes(a.root, b.root)
+    assert_same_nodes(a, b)
 
 
 def hard_table(rng):
@@ -563,8 +569,8 @@ class TestGrow:
     def test_single_row_is_leaf(self):
         tbl = table_from_arrays(np.array([[1.0]]), np.array([3.5]))
         fitted = grow(tbl)
-        assert fitted.root.is_leaf
-        assert fitted.root.mean == 3.5
+        assert fitted.is_leaf(0)
+        assert fitted.mean[0] == 3.5
 
     def test_toy_perfect_separation(self):
         tbl = table_from_arrays(
@@ -624,9 +630,9 @@ class TestGrow:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 together = tree._grow_together(tbl, roots, minsplit, minbucket)
-                for rows, root in zip(roots, together):
+                for rows, fitted in zip(roots, together):
                     alone = grow(tbl.subset(rows), minsplit, minbucket)
-                    assert_same_nodes(root, alone.root)
+                    assert_same_nodes(fitted, alone)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -634,14 +640,14 @@ class TestGrow:
         rng = np.random.default_rng(seed)
         tbl = random_table(rng)
         fitted = grow(tbl, minsplit=5, minbucket=1)
-        for node in fitted.internal_nodes():
+        for i in fitted.internal_nodes():
             # the children's rows partition the node's, neither side empty
-            left, right = node.left.rows.tolist(), node.right.rows.tolist()
+            left, right = fitted.rows[i + 1].tolist(), fitted.rows[fitted.right[i]].tolist()
             assert left and right
-            assert sorted(left + right) == sorted(node.rows.tolist())
+            assert sorted(left + right) == sorted(fitted.rows[i].tolist())
             # weighted child mse never above the parent's
-            child_sse = node.left.sse + node.right.sse
-            assert child_sse <= node.sse + 1e-9
+            child_sse = fitted.sse[i + 1] + fitted.sse[fitted.right[i]]
+            assert child_sse <= fitted.sse[i] + 1e-9
 
 
 # ------------------------------------------------------------ pruning
@@ -653,23 +659,22 @@ class TestPrune:
         sequence = prune_sequence(grow(tbl))
         assert len(sequence) == 1
         assert sequence[0][0] == 0.0
-        assert sequence[0][1].root.is_leaf
+        assert sequence[0][1].is_leaf(0)
 
     def test_zero_gain_split_collapses_immediately(self):
-        # hand-built depth-1 tree whose split does not reduce error
+        # hand-built depth-1 tree whose split does not reduce error: the
+        # root, then its left and its right child
         y = np.array([1.0, 1.0, 1.0, 1.0])
         rows = np.arange(4)
-        root = TreeNode(
-            rows=rows, mean=1.0, sse=0.0,
-            rule=SplitRule(var=0, threshold=1.5), improvement=0.0,
-            left=TreeNode(rows=rows[:2], mean=1.0, sse=0.0),
-            right=TreeNode(rows=rows[2:], mean=1.0, sse=0.0),
-        )
+        rule, right, sse = [SplitRule(var=0, threshold=1.5), None, None], [2, 0, 0], [0.0] * 3
         tbl = table_from_arrays(np.arange(4.0)[:, None], y)
-        fitted = tree.RegressionTree(root=root, table=tbl, minsplit=2, minbucket=1)
+        fitted = tree.RegressionTree(
+            rule=rule, right=right, mean=[1.0] * 3, sse=sse, improvement=[0.0] * 3,
+            rows=[rows, rows[:2], rows[2:]], gone=tree._weakest_links(rule, right, sse),
+            table=tbl, minsplit=2, minbucket=1, alpha=-math.inf)
         sequence = prune_sequence(fitted)
         assert len(sequence) == 1
-        assert sequence[0][1].root.is_leaf
+        assert sequence[0][1].is_leaf(0)
 
     def test_alphas_strictly_increase_and_subtrees_nest(self):
         rng = np.random.default_rng(8)
@@ -681,10 +686,18 @@ class TestPrune:
         assert all(b < a for a, b in zip(sizes, sizes[1:]))
         # nesting: every later tree's leaves partition-coarsen the earlier tree's
         for (_, big), (_, small) in zip(sequence, sequence[1:]):
-            big_leaves = [frozenset(leaf.rows.tolist()) for leaf in big.leaves()]
-            for leaf in small.leaves():
-                rows = frozenset(leaf.rows.tolist())
+            big_leaves = [frozenset(big.rows[i].tolist()) for i in big.leaves()]
+            for i in small.leaves():
+                rows = frozenset(small.rows[i].tolist())
                 assert all(b <= rows or not (b & rows) for b in big_leaves)
+
+    def test_pruned_tree_starts_its_own_sequence(self, cfr_table):
+        # T_k's own sequence is the rest of its grown tree's, from alpha 0
+        sequence = prune_sequence(grow(cfr_table, minsplit=2, minbucket=1))
+        for k, (_, pruned) in enumerate(sequence):
+            rest = prune_sequence(pruned)
+            assert [a for a, _ in rest] == [0.0] + [a for a, _ in sequence[k + 1:]]
+            assert [t.to_dict() for _, t in rest] == [t.to_dict() for _, t in sequence[k:]]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_bit_identical_to_reference_on_hard_tables(self):
@@ -727,8 +740,8 @@ class TestPrune:
     def test_non_finite_response_prunes_to_root(self, response):
         tbl = extreme_table(response)
         sequence = prune_sequence(grow(tbl, minsplit=5, minbucket=1))
-        assert sequence[-1][1].root.is_leaf
-        assert cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=0).tree.root.is_leaf
+        assert sequence[-1][1].is_leaf(0)
+        assert cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=0).tree.is_leaf(0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -737,7 +750,7 @@ class TestPrune:
         tbl = random_table(rng, n=int(rng.integers(10, 41)), n_vars=3)
         fitted = grow(tbl, minsplit=8, minbucket=2)
         sequence = prune_sequence(fitted)
-        candidates = enumerate_pruned_subtrees(fitted.root)
+        candidates = enumerate_pruned_subtrees(fitted)
         alphas = [a for a, _ in sequence]
         probes = [0.0]
         for a, b in zip(alphas, alphas[1:]):
@@ -757,7 +770,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(123)
         tbl = table_from_arrays(rng.normal(size=(50, 4)), rng.normal(size=50))
         root_only = sum(
-            cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=seed).tree.root.is_leaf
+            cross_validate(tbl, minsplit=5, minbucket=1, folds=10, seed=seed).tree.is_leaf(0)
             for seed in range(10)
         )
         assert root_only >= 6
@@ -768,7 +781,7 @@ class TestCrossValidate:
         tbl = table_from_arrays(x, y)
         cv = cross_validate(tbl, minsplit=4, minbucket=1, folds=4, seed=0)
         assert cv.tree.n_leaves() == 2
-        assert cv.tree.root.rule.threshold == 5.5
+        assert cv.tree.rule[0].threshold == 5.5
 
     def test_folds_grow_under_the_full_tree_controls(self, monkeypatch):
         rng = np.random.default_rng(27)
@@ -928,7 +941,7 @@ class TestPredict:
         tbl = random_table(rng, n=30, n_vars=2)
         fitted = grow(tbl, minsplit=5, minbucket=1)
         thresholds = sorted(
-            node.rule.threshold for node in fitted.internal_nodes() if node.rule.var == 0
+            fitted.rule[i].threshold for i in fitted.internal_nodes() if fitted.rule[i].var == 0
         )
         base = np.array([0.0, tbl.x[:, 1].mean()])
         value = fitted.predict(base)[0]

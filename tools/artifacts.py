@@ -15,7 +15,9 @@ writes:
 - `risktree/seed<S>/` and `risktree/seed<S>_minsplit9/`: `risktree` on the
   bundled CFR table for fold seeds 0-34, with the default minsplit (5 for its
   50 rows) and with `--minsplit 9`;
-- `risktree/seed<S>_folds5/`: the same with `--folds 5`, for fold seeds 0-9.
+- `risktree/seed<S>_folds5/` and `risktree/seed<S>_minsplit2/`: the same
+  with `--folds 5` and with `--minsplit 2` (a deep tree: 46 leaves and 41
+  pruning steps at seed 0), for fold seeds 0-9.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from epiforecast import cli, datasets  # noqa: E402
 from inputs import HORIZON, LONG_DAYS, LONG_START, long_series  # noqa: E402
 
 FOLD_SEEDS = range(35)
-FIVE_FOLD_SEEDS = range(10)
+SHORT_SEEDS = range(10)
 ESCAPED = "a&b<c>"
 
 
@@ -67,9 +69,11 @@ def main() -> None:
         run("risktree", table, "--seed", seed, "--out", out / "risktree" / f"seed{seed}")
         run("risktree", table, "--seed", seed, "--minsplit", 9,
             "--out", out / "risktree" / f"seed{seed}_minsplit9")
-    for seed in FIVE_FOLD_SEEDS:
+    for seed in SHORT_SEEDS:
         run("risktree", table, "--seed", seed, "--folds", 5,
             "--out", out / "risktree" / f"seed{seed}_folds5")
+        run("risktree", table, "--seed", seed, "--minsplit", 2,
+            "--out", out / "risktree" / f"seed{seed}_minsplit2")
 
 
 if __name__ == "__main__":
