@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime as dt
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 # Each command imports the modules it runs, so that risktree, eval and fetch
 # never load the forecaster. The series loader stays a name of this module,
 # which bench/tracing.py patches.
-from .series import load_series_csv
+from .series import load_series_csv, read_csv
 
 
 def positive_int(text: str) -> int:
@@ -210,8 +211,8 @@ def cmd_eval(args) -> int:
     a = np.array([actual[d] for d in shared])
     p = np.array([predicted[d] for d in shared])
     report = metrics.report(a, p)
-    text = _json_text({"n_dates": len(shared), "first": shared[0], "last": shared[-1],
-                       "metrics": report.to_dict()})
+    text = _json_text({"n_dates": len(shared), "first": shared[0].isoformat(),
+                       "last": shared[-1].isoformat(), "metrics": report.to_dict()})
     print(text, end="")
     if args.out is not None:
         _publish(args, {"eval.json": text})
@@ -219,27 +220,24 @@ def cmd_eval(args) -> int:
 
 
 def _read_dated_column(path, value_field: str) -> dict:
-    """date -> finite value of one column; a bad cell or a repeated date is
-    rejected with its file and line."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "date" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a 'date' column")
-        if value_field not in reader.fieldnames:
-            raise ValueError(f"{path}: expected a {value_field!r} column")
-        out = {}
-        for record in reader:
-            where = f"{path}:{reader.line_num}"
-            text = record[value_field]
-            try:
-                value = float(text)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: bad {value_field} value {text!r}") from exc
-            if not math.isfinite(value):
-                raise ValueError(f"{where}: non-finite {value_field} value {text!r}")
-            if record["date"] in out:
-                raise ValueError(f"{where}: duplicate date {record['date']!r}")
-            out[record["date"]] = value
+    """date -> finite value of one column; a bad date or cell, or a repeated
+    date, is rejected with its file and line."""
+    out = {}
+    for lineno, (date, text) in read_csv(path, ("date", value_field)):
+        where = f"{path}:{lineno}"
+        try:
+            day = dt.date.fromisoformat(date.strip())
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad date {date!r}") from exc
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad {value_field} value {text!r}") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: non-finite {value_field} value {text!r}")
+        if day in out:
+            raise ValueError(f"{where}: duplicate date {date!r}")
+        out[day] = value
     return out
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,42 +192,57 @@ def _df_critical(n_eff: int) -> float:
     return b0 + b1 / n + b2 / n**2 + b3 / n**3
 
 
-def load_series_csv(path) -> TimeSeries:
-    """Read a `date,cases` CSV into a TimeSeries; a bad row, such as a
-    non-finite count or a date that is not the day after the one before, is
-    rejected with its file and line."""
+def read_csv(path, required):
+    """Yield (line, cells) per data row of a CSV file, cells being the fields
+    of the `required` columns (two or more names, matched after strip().lower())
+    in that order. Blank lines are skipped; a missing or repeated column and a
+    row whose width differs from the header's are refused with path:line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["date", "cases"]:
-            raise ValueError(f"{path}: expected header 'date,cases', got {header}")
-        dates: list[dt.date] = []
-        values: list[float] = []
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [name.strip().lower() for name in header]
+        where = f"{path}:{reader.line_num}"
+        for k, name in enumerate(names):
+            if name and name in names[:k]:
+                raise ValueError(f"{where}: column {name} appears twice")
+        missing = [name for name in required if name.lower() not in names]
+        if missing:
+            raise ValueError(f"{where}: header is missing required columns: {', '.join(missing)}")
+        cells = operator.itemgetter(*(names.index(name.lower()) for name in required))
         for row in reader:
-            lineno = reader.line_num  # the row's last line: a quoted cell may span several
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if not row or (len(row) == 1 and not row[0].strip()):  # a blank line
                 continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                day = dt.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            try:
-                count = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad count {row[1]!r}") from exc
-            if not math.isfinite(count):
-                raise ValueError(f"{path}:{lineno}: non-finite count {row[1]!r}")
-            if count < 0:
-                raise ValueError(f"{path}:{lineno}: negative count {count}")
-            if dates and (day - dates[-1]).days != 1:
-                raise ValueError(f"{path}:{lineno}: date {day} is not the day after {dates[-1]}")
-            dates.append(day)
-            values.append(count)
-    if len(values) < MIN_LENGTH:
-        raise ValueError(
-            f"{path}: need at least {MIN_LENGTH} observations, got {len(values)}"
-        )
-    return TimeSeries(dates=tuple(dates), values=np.asarray(values))
+            # line_num is the row's last line: a quoted cell may span several
+            if len(row) != len(names):
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} fields, got {len(row)}")
+            yield reader.line_num, cells(row)
 
+
+def load_series_csv(path) -> TimeSeries:
+    """Read a CSV with `date` and `cases` columns into a TimeSeries; a bad
+    row, such as a non-finite count or a date that is not the day after the
+    one before, is rejected with its file and line."""
+    dates: list[dt.date] = []
+    values: list[float] = []
+    for lineno, (date, cases) in read_csv(path, ("date", "cases")):
+        try:
+            day = dt.date.fromisoformat(date.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad date {date!r}") from exc
+        try:
+            count = float(cases)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad count {cases!r}") from exc
+        if not math.isfinite(count):
+            raise ValueError(f"{path}:{lineno}: non-finite count {cases!r}")
+        if count < 0:
+            raise ValueError(f"{path}:{lineno}: negative count {count}")
+        if dates and (day - dates[-1]).days != 1:
+            raise ValueError(f"{path}:{lineno}: date {day} is not the day after {dates[-1]}")
+        dates.append(day)
+        values.append(count)
+    if len(values) < MIN_LENGTH:
+        raise ValueError(f"{path}: need at least {MIN_LENGTH} observations, got {len(values)}")
+    return TimeSeries(dates=tuple(dates), values=np.asarray(values))

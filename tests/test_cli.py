@@ -207,21 +207,26 @@ class TestForecast:
             f"forecast: {path}: hybrid fitting needs at least 20 observations, got 12\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("rows, message", [
-        (["2020-03-01,4", "2020-03-02,nan"], "3: non-finite count 'nan'"),
-        (["2020-03-01,inf"], "2: non-finite count 'inf'"),
-        (["2020-03-01,4", "2020-03-02,5", "2020-03-02,6"],
+    @pytest.mark.parametrize("header, rows, message", [
+        ("date,cases", ["2020-03-01,4", "2020-03-02,nan"], "3: non-finite count 'nan'"),
+        ("date,cases", ["2020-03-01,inf"], "2: non-finite count 'inf'"),
+        ("date,cases", ["2020-03-01,4", "2020-03-02,5", "2020-03-02,6"],
          "4: date 2020-03-02 is not the day after 2020-03-02"),
-        (["2020-03-01,4", "2020-03-03,5"], "3: date 2020-03-03 is not the day after 2020-03-01"),
+        ("date,cases", ["2020-03-01,4", "2020-03-03,5"],
+         "3: date 2020-03-03 is not the day after 2020-03-01"),
         # a quoted cell that spans lines 2 and 3
-        (['2020-03-01,"4', '"', "2020-03-02,x"], "4: bad count 'x'"),
-    ], ids=["nan", "inf", "repeated-date", "gap", "after-two-line-cell"])
-    def test_bad_series_row_names_file_and_line(self, tmp_path, capsys, rows, message):
+        ("date,cases", ['2020-03-01,"4', '"', "2020-03-02,x"], "4: bad count 'x'"),
+        # a repeated name is refused, whichever copy a reader would take
+        ("date,cases,cases", ["2020-03-01,9,1"], "1: column cases appears twice"),
+        ("date,cases", ["2020-03-01,4", "2020-03-02,5,999"], "3: expected 2 fields, got 3"),
+    ], ids=["nan", "inf", "repeated-date", "gap", "after-two-line-cell", "repeated-column",
+            "third-field"])
+    def test_bad_series_row_names_file_and_line(self, tmp_path, capsys, header, rows, message):
         # 20 good days follow, so that the row under test is the only fault
         last = dt.date.fromisoformat(rows[-1].split(",")[0])
         pad = [f"{last + dt.timedelta(days=i)},7" for i in range(1, 21)]
         path = tmp_path / "bad.csv"
-        path.write_text("date,cases\n" + "\n".join(rows + pad) + "\n")
+        path.write_text("\n".join([header, *rows, *pad]) + "\n")
         assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == f"forecast: {path}:{message}\n"
         assert not (tmp_path / "o").exists()
@@ -536,21 +541,28 @@ class TestEval:
         assert payload["metrics"]["rmse"] == pytest.approx(np.sqrt(2.0 / 3.0))
         assert payload["metrics"]["mae"] == pytest.approx(2.0 / 3.0)
 
-    @pytest.mark.parametrize("cell, message", [
-        ("nan", "non-finite hybrid value 'nan'"),
-        ("inf", "non-finite hybrid value 'inf'"),
-        ("abc", "bad hybrid value 'abc'"),
-        ("", "bad hybrid value ''"),
-    ])
-    def test_bad_forecast_cell_names_file_and_line(self, tmp_path, capsys, cell, message):
+    @pytest.mark.parametrize("header, row, message", [
+        ("date,hybrid", "2020-03-02,nan", "3: non-finite hybrid value 'nan'"),
+        ("date,hybrid", "2020-03-02,inf", "3: non-finite hybrid value 'inf'"),
+        ("date,hybrid", "2020-03-02,abc", "3: bad hybrid value 'abc'"),
+        ("date,hybrid", "2020-03-02,", "3: bad hybrid value ''"),
+        # a repeated name is refused, whichever copy a reader would take
+        ("date,hybrid,hybrid", "2020-03-02,2,7", "1: column hybrid appears twice"),
+        ("date,hybrid", "2020-03-02,2,7", "3: expected 2 fields, got 3"),
+        ("date,hybrid", "banana,2", "3: bad date 'banana'"),
+    ], ids=["nan-non-finite hybrid value 'nan'", "inf-non-finite hybrid value 'inf'",
+            "abc-bad hybrid value 'abc'", "-bad hybrid value ''",  # cell and message
+            "repeated-column", "third-field", "bad-date"])
+    def test_bad_forecast_cell_names_file_and_line(self, tmp_path, capsys, header, row, message):
         actual = tmp_path / "a.csv"
         actual.write_text("date,cases\n2020-03-01,1\n2020-03-02,2\n")
         forecast = tmp_path / "f.csv"
-        forecast.write_text(f"date,hybrid\n2020-03-01,2\n2020-03-02,{cell}\n")
-        assert run_cli("eval", str(actual), str(forecast)) == 1
+        forecast.write_text(f"{header}\n2020-03-01,2\n{row}\n")
+        assert run_cli("eval", str(actual), str(forecast), "--out", str(tmp_path / "o")) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"eval: {forecast}:3: {message}\n"
+        assert captured.err == f"eval: {forecast}:{message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_date_rejected(self, tmp_path, capsys):
         actual = tmp_path / "a.csv"

@@ -58,6 +58,17 @@ class TestTimeSeries:
         assert back.dates == s.dates
         np.testing.assert_array_equal(back.values, s.values)
 
+    def test_csv_finds_columns_by_name(self, tmp_path):
+        # header names match after strip().lower(); other named columns and
+        # blank or whitespace-only lines are ignored
+        path = tmp_path / "s.csv"
+        path.write_text(" Cases ,note,DATE\n" + "".join(
+            f"{v},x,2020-03-{i + 1:02d}\n" + ("\n" if i == 2 else "   \n" if i == 5 else "")
+            for i, v in enumerate([4, 1, 2, 3, 10, 5, 6, 7])))
+        back = series.load_series_csv(path)
+        assert back.dates[0] == dt.date(2020, 3, 1) and back.n == 8
+        np.testing.assert_array_equal(back.values, [4, 1, 2, 3, 10, 5, 6, 7])
+
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("day,count\n2020-03-01,5\n")
