@@ -517,8 +517,10 @@ def select_order(
     default; callers fitting near-periodic components (where boundary AR is
     the honest model) can disable the gate.
     """
-    grid = _order_grid(s, transform, max_p, max_q, force_d)
-    return _best_cell(_fit_cells(grid), reject_near_unit_roots).order
+    best = _select([_order_grid(s, transform, max_p, max_q, force_d)], reject_near_unit_roots)[0]
+    if isinstance(best, ConvergenceError):
+        raise best
+    return best.order
 
 
 def _order_grid(s, transform: TransformSpec, max_p: int, max_q: int, force_d: int | None) -> list:
@@ -532,21 +534,25 @@ def _order_grid(s, transform: TransformSpec, max_p: int, max_q: int, force_d: in
             for p in range(max_p + 1) for q in range(max_q + 1)]
 
 
-def _best_cell(results: list, reject_near_unit_roots: bool) -> ArimaFit:
-    """The grid cell `select_order` picks from the `_fit_cells` results of its grid."""
-    candidates = []
-    failures = []
-    for result in results:
-        if isinstance(result, Exception):
-            failures.append(result)
-            continue
-        if reject_near_unit_roots and result.min_root_modulus < _SELECTION_MIN_ROOT:
-            continue
-        p, _, q = result.order
-        candidates.append(((result.aic, p + q, result.bic, p, q), result))
-    if not candidates:
-        raise ConvergenceError(f"every (p,q) grid cell failed; first failure: {failures[0]}")
-    return min(candidates, key=lambda c: c[0])[1]
+def _select(grids: list, reject_near_unit_roots: bool) -> list:
+    """The cell each grid of `fit_arima` jobs picks, every grid fitted in one
+    `_fit_cells` batch: the least (aic, p + q, bic, p, q) among the cells
+    that fitted and, if `reject_near_unit_roots`, keep their roots off the
+    unit circle. A grid with no such cell gets a ConvergenceError instead."""
+    results = iter(_fit_cells([job for grid in grids for job in grid]))
+    chosen = []
+    for grid in grids:
+        cells = [next(results) for _ in grid]
+        fits = [r for r in cells if not isinstance(r, Exception)]
+        if reject_near_unit_roots:
+            fits = [r for r in fits if not r.min_root_modulus < _SELECTION_MIN_ROOT]
+        if fits:
+            chosen.append(min(fits, key=lambda r: (r.aic, r.order.p + r.order.q, r.bic,
+                                                   r.order.p, r.order.q)))
+        else:
+            failure = next(r for r in cells if isinstance(r, Exception))
+            chosen.append(ConvergenceError(f"every (p,q) grid cell failed; first failure: {failure}"))
+    return chosen
 
 
 # (pid, executor) of the grid-cell pool, made on first use

@@ -45,10 +45,10 @@ _CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int,
 
 
 def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
-    """Flat key=value text; '#' starts a comment. Unknown keys, repeated keys
-    and keys naming an option `command` has no flag for are rejected."""
+    """Flat key=value UTF-8 text, byte-order mark or not; '#' starts a comment.
+    Unknown or repeated keys, and keys `command` has no flag for, are rejected."""
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -193,11 +193,11 @@ def _df_critical(n_eff: int) -> float:
 
 
 def read_csv(path, required):
-    """Yield (line, cells) per data row of a CSV file, cells being the fields
-    of the `required` columns (two or more names, matched after strip().lower())
-    in that order. Blank lines are skipped; a missing or repeated column and a
-    row whose width differs from the header's are refused with path:line."""
-    with open(path, newline="") as fh:
+    """Yield (line, cells) per data row of a UTF-8 CSV file, byte-order mark or
+    not, cells being the fields of the `required` columns (two or more names, matched
+    after strip().lower()) in that order. Blank lines are skipped; a missing or repeated
+    column and a row whose width differs from the header's are refused with path:line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

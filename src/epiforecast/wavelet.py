@@ -110,35 +110,27 @@ def wbf_fit(values) -> WbfFit:
     levels = decomposition_level(len(x))
     dec = modwt(x, levels)
     sub_series = [*dec.details, dec.smooth]
-    grids = []
-    for sub in sub_series:
-        try:
-            grids.append(arima._order_grid(sub, NO_TRANSFORM, SUBSERIES_MAX_ORDER,
-                                           SUBSERIES_MAX_ORDER, force_d=0))
-        except ValueError:
-            grids.append([])
-    cells = iter(arima._fit_cells([job for grid in grids for job in grid]))
-    chosen = []
-    for grid in grids:
-        results = [next(cells) for _ in grid]
-        try:
-            # boundary AR is legitimate here: detail sub-series oscillate by
-            # construction, so the near-unit-root selection gate stays off
-            chosen.append(arima._best_cell(results, reject_near_unit_roots=False)
-                          if results else None)
-        except arima.ConvergenceError:
-            chosen.append(None)
+    try:
+        grids = [arima._order_grid(sub, NO_TRANSFORM, SUBSERIES_MAX_ORDER,
+                                   SUBSERIES_MAX_ORDER, force_d=0) for sub in sub_series]
+    except ValueError:
+        # too short for a grid; every sub-series has the input's length
+        chosen = [None] * len(sub_series)
+    else:
+        # boundary AR is legitimate here: detail sub-series oscillate by
+        # construction, so the near-unit-root selection gate stays off
+        chosen = arima._select(grids, reject_near_unit_roots=False)
     # at p = SUBSERIES_MAX_ORDER the grid cell conditioned on as many
     # residuals as the refit would, so it is the refit
     refits = [i for i, fit in enumerate(chosen)
-              if fit is not None and fit.order.p < SUBSERIES_MAX_ORDER]
+              if isinstance(fit, arima.ArimaFit) and fit.order.p < SUBSERIES_MAX_ORDER]
     jobs = [(sub_series[i], chosen[i].order, NO_TRANSFORM, None) for i in refits]
     for i, result in zip(refits, arima._fit_cells(jobs)):
-        chosen[i] = None if isinstance(result, Exception) else result
+        chosen[i] = result
     fits = []
     fallbacks = []
     for i, (sub, fit) in enumerate(zip(sub_series, chosen)):
-        if fit is None:
+        if not isinstance(fit, arima.ArimaFit):
             fallbacks.append(i)
             fit = arima.fit_arima(sub, arima.ArimaOrder(0, 0, 0), NO_TRANSFORM)
         fits.append(fit)

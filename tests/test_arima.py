@@ -615,10 +615,10 @@ class TestCellScheduler:
         assert too_short == [job[1] for job in jobs if job[1].p + job[1].q >= 5]
         # only failures: the message names the first cell of the grid
         failing = [(values, order, NO_TRANSFORM, 5) for _, order, _, _ in jobs]
-        with pytest.raises(arima.ConvergenceError) as excinfo:
-            arima._best_cell(arima._fit_cells(failing), reject_near_unit_roots=True)
-        assert str(excinfo.value) == ("every (p,q) grid cell failed; first failure: series of "
-                                      "length 7 too short for ARIMA(0,0,0) estimation")
+        [error] = arima._select([failing], reject_near_unit_roots=True)
+        assert isinstance(error, arima.ConvergenceError)
+        assert str(error) == ("every (p,q) grid cell failed; first failure: series of "
+                              "length 7 too short for ARIMA(0,0,0) estimation")
 
     @needs_two_cpus
     def test_other_worker_errors_propagate(self):

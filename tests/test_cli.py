@@ -14,6 +14,10 @@ import pytest
 from epiforecast import arima, cli, hybrid, svgplot, tree, wavelet
 
 
+# the UTF-8 byte-order mark
+BOM = b"\xef\xbb\xbf"
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -124,6 +128,17 @@ class TestForecast:
         payload = json.loads((out / "canada_fit.json").read_text())
         train = payload["training_metrics"]
         assert train["hybrid"]["rmse"] < train["arima"]["rmse"]
+
+    def test_byte_order_mark_changes_no_artifact(self, tmp_path, data_dir, india_run):
+        # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+        path = tmp_path / "india.csv"
+        path.write_bytes(BOM + (data_dir / "india.csv").read_bytes())
+        out = tmp_path / "out"
+        assert run_cli("forecast", str(path), "--out", str(out)) == 0
+        names = sorted(p.name for p in india_run.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (india_run / name).read_bytes()
 
     def test_horizon_flag(self, tmp_path, data_dir):
         out = tmp_path / "h5"
@@ -314,6 +329,13 @@ def test_non_integer_config_value_names_file_and_line(tmp_path, data_dir, monkey
     assert run_cli(command, str(data_dir / table), "--config", str(config)) == 1
     assert capsys.readouterr().err == f"{command}: {config}:2: bad {key} value {text!r}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_bytes(BOM + f"out = {tmp_path / 'data'}\n".encode())
+    assert run_cli("fetch", "india", "--config", str(config)) == 0
+    assert (tmp_path / "data" / "india.csv").is_file()
 
 
 @pytest.mark.parametrize("command, renderer",
@@ -523,6 +545,15 @@ class TestEval:
         assert run_cli("eval", str(path), str(path), "--column", "cases") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["rmse"] == 0.0
+
+    def test_byte_order_mark_in_actual_file(self, tmp_path, data_dir, capsys):
+        path = data_dir / "india.csv"
+        assert run_cli("eval", str(path), str(path), "--column", "cases") == 0
+        plain = capsys.readouterr().out
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(BOM + path.read_bytes())
+        assert run_cli("eval", str(bom), str(path), "--column", "cases") == 0
+        assert capsys.readouterr().out == plain
 
     def test_disjoint_dates_error(self, tmp_path, data_dir, capsys):
         other = tmp_path / "later.csv"
