@@ -7,6 +7,7 @@ import math
 import os
 import sys
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -460,6 +461,13 @@ def fit_arima(
     (default p). Order selection passes a common value so that criteria stay
     comparable across grid cells.
     """
+    return _fit_job((s, order, transform, n_condition), _estimate)
+
+
+def _fit_job(job, estimate) -> ArimaFit:
+    """`fit_arima` on one (values, order, transform, n_condition) job, with
+    phi, theta and intercept from estimate(w, p, q, use_intercept, n_cond)."""
+    s, order, transform, n_condition = job
     values = values_of(s)
     p, d, q = order
     n_cond = p if n_condition is None else max(n_condition, p)
@@ -470,7 +478,7 @@ def fit_arima(
     z = transform.forward(values)
     w = diff_values(z, d)
     use_intercept = d == 0
-    phi, theta, intercept = _estimate(w, p, q, use_intercept, n_cond)
+    phi, theta, intercept = estimate(w, p, q, use_intercept, n_cond)
     eps = _css_residuals(w, phi, theta, intercept)
     m = len(w)
     n_eff = m - n_cond
@@ -535,7 +543,7 @@ def _order_grid(s, transform: TransformSpec, max_p: int, max_q: int, force_d: in
 
 
 def _select(grids: list, reject_near_unit_roots: bool) -> list:
-    """The cell each grid of `fit_arima` jobs picks, every grid fitted in one
+    """The fit each grid of `fit_arima` jobs picks, every grid fitted in one
     `_fit_cells` batch: the least (aic, p + q, bic, p, q) among the cells
     that fitted and, if `reject_near_unit_roots`, keep their roots off the
     unit circle. A grid with no such cell gets a ConvergenceError instead."""
@@ -543,12 +551,13 @@ def _select(grids: list, reject_near_unit_roots: bool) -> list:
     chosen = []
     for grid in grids:
         cells = [next(results) for _ in grid]
-        fits = [r for r in cells if not isinstance(r, Exception)]
+        fits = [(r, job) for r, job in zip(cells, grid) if not isinstance(r, Exception)]
         if reject_near_unit_roots:
-            fits = [r for r in fits if not r.min_root_modulus < _SELECTION_MIN_ROOT]
+            fits = [(r, job) for r, job in fits if not r.min_root_modulus < _SELECTION_MIN_ROOT]
         if fits:
-            chosen.append(min(fits, key=lambda r: (r.aic, r.order.p + r.order.q, r.bic,
-                                                   r.order.p, r.order.q)))
+            r, job = min(fits, key=lambda f: (f[0].aic, f[0].order.p + f[0].order.q, f[0].bic,
+                                               f[0].order.p, f[0].order.q))
+            chosen.append(_kept(job, r))
         else:
             failure = next(r for r in cells if isinstance(r, Exception))
             chosen.append(ConvergenceError(f"every (p,q) grid cell failed; first failure: {failure}"))
@@ -559,14 +568,28 @@ def _select(grids: list, reject_near_unit_roots: bool) -> list:
 _pool = None
 
 
+# what a worker sends back of a grid cell's fit: a few numbers, where the
+# whole fit holds two arrays as long as the series; `_kept` rebuilds the fit
+_Verdict = namedtuple("_Verdict", "order aic bic min_root_modulus phi theta intercept")
+
+
 def _fit_cell(job):
-    """`fit_arima` on one (values, order, transform, n_condition) job; the
-    errors of a cell that cannot be fitted come back as values."""
+    """`fit_arima` on one (values, order, transform, n_condition) job, as a
+    `_Verdict`; the errors of a cell that cannot be fitted come back as values."""
     values, order, transform, n_condition = job
     try:
-        return fit_arima(values, order, transform, n_condition=n_condition)
+        fit = fit_arima(values, order, transform, n_condition=n_condition)
     except (ValueError, ConvergenceError) as exc:
         return exc
+    return _Verdict(order, fit.aic, fit.bic, fit.min_root_modulus, fit.phi.tolist(),
+                    fit.theta.tolist(), fit.intercept)
+
+
+def _kept(job, verdict: _Verdict) -> ArimaFit:
+    """The job's `fit_arima`, bit for bit, from its verdict's coefficients. Built
+    here, the arrays share one dtype object, as `fit_arima`'s do, and pickle the same."""
+    return _fit_job(job, lambda *_: (np.array(verdict.phi, dtype=float),
+                                     np.array(verdict.theta, dtype=float), verdict.intercept))
 
 
 @atexit.register

@@ -16,7 +16,7 @@ import numpy as np
 # Each command imports the modules it runs, so that risktree, eval and fetch
 # never load the forecaster. The series loader stays a name of this module,
 # which bench/tracing.py patches.
-from .series import load_series_csv, read_csv
+from .series import load_series_csv, read_csv, read_text
 
 
 def positive_int(text: str) -> int:
@@ -45,29 +45,28 @@ _CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int,
 
 
 def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
-    """Flat key=value UTF-8 text, byte-order mark or not; '#' starts a comment.
+    """Flat key=value text, read by `read_text`; '#' starts a comment.
     Unknown or repeated keys, and keys `command` has no flag for, are rejected."""
     values = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, text = line.partition("=")
-            key = key.strip().replace("-", "_")
-            text = text.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            if key not in flags:
-                raise ValueError(f"{path}:{lineno}: option {key!r} does not apply to {command}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate option {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {key} value {text!r}") from exc
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, text = line.partition("=")
+        key = key.strip().replace("-", "_")
+        text = text.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+        if key not in flags:
+            raise ValueError(f"{path}:{lineno}: option {key!r} does not apply to {command}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate option {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {key} value {text!r}") from exc
     return values
 
 
@@ -202,6 +201,8 @@ def cmd_risktree(args) -> int:
 def cmd_eval(args) -> int:
     from . import metrics
 
+    if args.column.strip().lower() == "date":
+        raise ValueError("--column date: the date column holds no values to score")
     actual = _read_dated_column(args.actual, value_field="cases")
     predicted = _read_dated_column(args.forecast, value_field=args.column)
     shared = sorted(set(actual) & set(predicted))

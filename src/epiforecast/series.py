@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 import operator
 from dataclasses import dataclass, field
@@ -192,32 +193,43 @@ def _df_critical(n_eff: int) -> float:
     return b0 + b1 / n + b2 / n**2 + b3 / n**3
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, without its byte-order mark if it has one; a
+    byte that is not UTF-8 is refused with path:line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # a bad sequence holds no line break, so the bytes to its end stop on its line
+        raise ValueError(f"{path}:{len(data[:exc.end].splitlines())}: not UTF-8 text") from exc
+
+
 def read_csv(path, required):
-    """Yield (line, cells) per data row of a UTF-8 CSV file, byte-order mark or
-    not, cells being the fields of the `required` columns (two or more names, matched
+    """Yield (line, cells) per data row of a CSV file read by `read_text`, cells
+    being the fields of the `required` columns (two or more names, matched
     after strip().lower()) in that order. Blank lines are skipped; a missing or repeated
     column and a row whose width differs from the header's are refused with path:line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        names = [name.strip().lower() for name in header]
-        where = f"{path}:{reader.line_num}"
-        for k, name in enumerate(names):
-            if name and name in names[:k]:
-                raise ValueError(f"{where}: column {name} appears twice")
-        missing = [name for name in required if name.lower() not in names]
-        if missing:
-            raise ValueError(f"{where}: header is missing required columns: {', '.join(missing)}")
-        cells = operator.itemgetter(*(names.index(name.lower()) for name in required))
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):  # a blank line
-                continue
-            # line_num is the row's last line: a quoted cell may span several
-            if len(row) != len(names):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} fields, got {len(row)}")
-            yield reader.line_num, cells(row)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    names = [name.strip().lower() for name in header]
+    where = f"{path}:{reader.line_num}"
+    for k, name in enumerate(names):
+        if name and name in names[:k]:
+            raise ValueError(f"{where}: column {name} appears twice")
+    missing = [name for name in required if name.lower() not in names]
+    if missing:
+        raise ValueError(f"{where}: header is missing required columns: {', '.join(missing)}")
+    cells = operator.itemgetter(*(names.index(name.lower()) for name in required))
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):  # a blank line
+            continue
+        # line_num is the row's last line: a quoted cell may span several
+        if len(row) != len(names):
+            raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} fields, got {len(row)}")
+        yield reader.line_num, cells(row)
 
 
 def load_series_csv(path) -> TimeSeries:

@@ -125,8 +125,8 @@ def wbf_fit(values) -> WbfFit:
     refits = [i for i, fit in enumerate(chosen)
               if isinstance(fit, arima.ArimaFit) and fit.order.p < SUBSERIES_MAX_ORDER]
     jobs = [(sub_series[i], chosen[i].order, NO_TRANSFORM, None) for i in refits]
-    for i, result in zip(refits, arima._fit_cells(jobs)):
-        chosen[i] = result
+    for i, job, result in zip(refits, jobs, arima._fit_cells(jobs)):
+        chosen[i] = result if isinstance(result, Exception) else arima._kept(job, result)
     fits = []
     fallbacks = []
     for i, (sub, fit) in enumerate(zip(sub_series, chosen)):

@@ -8,10 +8,12 @@ import multiprocessing.connection
 import os
 import pickle
 import re
+import runpy
 import signal
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,6 +532,12 @@ def _pickled(results):
     return [pickle.dumps(r) for r in results]
 
 
+def _long_values():
+    """The first 990 days of the benchmark's seed-0 long series."""
+    inputs = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "inputs.py"))
+    return inputs["long_series"](np.random.default_rng(0), inputs["LONG_DAYS"])[:990]
+
+
 def _thread_errors(monkeypatch):
     """The uncaught exceptions of other threads from now on, such as the
     executor's own thread failing a future a caller cancelled."""
@@ -675,9 +683,45 @@ class TestCellScheduler:
         def in_main_process(*args, **kwargs):
             raise AssertionError("the main process fitted a cell")
 
-        # the forked workers keep the real fit_arima
+        [chosen] = _pickled(arima._select([jobs], reject_near_unit_roots=True))
+        # the forked workers keep the real fit_arima and _estimate
         monkeypatch.setattr(arima, "fit_arima", in_main_process)
+        monkeypatch.setattr(arima, "_estimate", in_main_process)
         assert [r.order for r in arima._fit_cells(jobs)] == expected
+        # the chosen fit is built here from its cell's coefficients, not estimated
+        assert _pickled(arima._select([jobs], reject_near_unit_roots=True)) == [chosen]
+
+    def test_cell_verdict_size_does_not_grow_with_the_series(self):
+        values = _long_values()
+        sizes = []
+        for n in (60, 990):
+            [verdict] = arima._fit_cells([(values[:n], ArimaOrder(2, 1, 1), LOG_TRANSFORM, None)])
+            assert verdict.order == ArimaOrder(2, 1, 1)
+            sizes.append(len(pickle.dumps(verdict)))
+        assert max(sizes) < 1024
+        assert abs(sizes[0] - sizes[1]) <= 8
+
+    @needs_two_cpus
+    def test_chosen_fits_match_in_process_selection_and_fit_arima(self, country_series, monkeypatch):
+        values = _long_values()
+        dec = wavelet.modwt(values, wavelet.decomposition_level(len(values)))
+        order = wavelet.SUBSERIES_MAX_ORDER
+        selections = [
+            ([arima._order_grid(country_series["india"].values, LOG_TRANSFORM, arima.MAX_P,
+                                arima.MAX_Q, None)], True),
+            ([arima._order_grid(sub, NO_TRANSFORM, order, order, force_d=0)
+              for sub in [*dec.details, dec.smooth]], False),
+        ]
+        for grids, reject in selections:
+            pooled = arima._select(grids, reject)
+            with monkeypatch.context() as m:
+                _one_cpu(m)
+                in_process = arima._select(grids, reject)
+            assert _pickled(pooled) == _pickled(in_process)
+            # every job of a grid has the same series, transform and n_condition
+            refits = [fit_arima(grid[0][0], fit.order, grid[0][2], n_condition=grid[0][3])
+                      for grid, fit in zip(grids, pooled)]
+            assert _pickled(pooled) == _pickled(refits)
 
     @needs_two_cpus
     def test_replaced_pools_register_one_exit_hook(self, monkeypatch):

@@ -246,6 +246,16 @@ class TestForecast:
         assert capsys.readouterr().err == f"forecast: {path}:{message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "byte-order-mark"])
+    def test_non_utf8_series_names_file_and_line(self, tmp_path, data_dir, capsys, bom):
+        lines = (data_dir / "india.csv").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"\n", b"\xe9\n")  # Latin-1 for U+00E9
+        path = tmp_path / "latin.csv"
+        path.write_bytes(bom + b"".join(lines))
+        assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"forecast: {path}:3: not UTF-8 text\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("error", [
         arima.ConvergenceError("simplex failed to converge for p=0, q=0 after restart budget"),
         ValueError("no usable sub-series"),
@@ -336,6 +346,14 @@ def test_config_file_with_byte_order_mark(tmp_path):
     config.write_bytes(BOM + f"out = {tmp_path / 'data'}\n".encode())
     assert run_cli("fetch", "india", "--config", str(config)) == 0
     assert (tmp_path / "data" / "india.csv").is_file()
+
+
+def test_non_utf8_config_names_file_and_line(tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_bytes(b"# output\r\nout = " + bytes(tmp_path / "data") + b"\xe9\r\n")
+    assert run_cli("fetch", "india", "--config", str(config)) == 1
+    assert capsys.readouterr().err == f"fetch: {config}:2: not UTF-8 text\n"
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("command, renderer",
@@ -594,6 +612,23 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == f"eval: {forecast}:{message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_actual_file_names_file_and_line(self, tmp_path, data_dir, capsys):
+        actual = tmp_path / "a.csv"
+        # a UTF-8 é on line 2; a lone continuation byte on line 4
+        actual.write_bytes("date,cases\n2020-03-01,1 \u00e9\n".encode() + b"\n2020-03-02,\x812\n")
+        assert run_cli("eval", str(actual), str(data_dir / "india.csv"), "--column", "cases") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"eval: {actual}:4: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("column", ["date", " Date "])
+    def test_date_column_is_not_a_forecast_column(self, tmp_path, data_dir, capsys, column):
+        path = data_dir / "india.csv"
+        assert run_cli("eval", str(path), str(path), "--column", column) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "eval: --column date: the date column holds no values to score\n"
 
     def test_duplicate_date_rejected(self, tmp_path, capsys):
         actual = tmp_path / "a.csv"
