@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -203,6 +201,8 @@ def cmd_eval(args) -> int:
 
     if args.column.strip().lower() == "date":
         raise ValueError("--column date: the date column holds no values to score")
+    if not args.column.strip():
+        raise ValueError(f"--column {args.column!r}: names no column")
     actual = _read_dated_column(args.actual, value_field="cases")
     predicted = _read_dated_column(args.forecast, value_field=args.column)
     shared = sorted(set(actual) & set(predicted))
@@ -221,23 +221,12 @@ def cmd_eval(args) -> int:
 
 
 def _read_dated_column(path, value_field: str) -> dict:
-    """date -> finite value of one column; a bad date or cell, or a repeated
-    date, is rejected with its file and line."""
+    """date -> value of one column, read by `read_csv`; a repeated date is
+    rejected with its file and line."""
     out = {}
-    for lineno, (date, text) in read_csv(path, ("date", value_field)):
-        where = f"{path}:{lineno}"
-        try:
-            day = dt.date.fromisoformat(date.strip())
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad date {date!r}") from exc
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad {value_field} value {text!r}") from exc
-        if not math.isfinite(value):
-            raise ValueError(f"{where}: non-finite {value_field} value {text!r}")
+    for lineno, (day, value) in read_csv(path, ("date", value_field)):
         if day in out:
-            raise ValueError(f"{where}: duplicate date {date!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate date '{day}'")
         out[day] = value
     return out
 

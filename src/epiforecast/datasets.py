@@ -55,30 +55,18 @@ def load_cfr_table() -> tree.Table:
 
 def load_cfr_csv(path) -> tree.Table:
     """Read a risk-factor CSV into a Table, reporting a bad value with its
-    column and line (see `series.read_csv` for the header and row checks)."""
+    column and line (see `series.read_csv` for the header, row and cell checks)."""
     names, kinds = zip(*CFR_COLUMNS)
     rows = []
     responses = []
-    for lineno, (*fields, cfr) in read_csv(path, (*names, CFR_RESPONSE)):
+    for lineno, (*row, y) in read_csv(path, (*names, CFR_RESPONSE)):
         where = f"{path}:{lineno}"
-        row = []
-        for name, kind, text in zip(names, kinds, fields):
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{where}: column {name}: not a number: {text!r}")
-            if not np.isfinite(value):
-                raise ValueError(f"{where}: column {name}: must be finite")
+        for name, kind, value in zip(names, kinds, row):
             if kind == tree.NUMERIC and value < 0:
                 raise ValueError(f"{where}: column {name}: must be non-negative")
             if kind == tree.CATEGORICAL and value not in _CATEGORY_LEVELS[name]:
                 allowed = sorted(int(v) for v in _CATEGORY_LEVELS[name])
-                raise ValueError(f"{where}: column {name}: level {text!r} not in {allowed}")
-            row.append(value)
-        try:
-            y = float(cfr)
-        except ValueError:
-            raise ValueError(f"{where}: column {CFR_RESPONSE}: not a number: {cfr!r}")
+                raise ValueError(f"{where}: column {name}: level {value:g} not in {allowed}")
         if not 0.0 <= y <= 0.2:
             raise ValueError(f"{where}: column {CFR_RESPONSE}: {y} outside the plausible range [0, 0.2]")
         rows.append(row)

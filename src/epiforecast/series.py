@@ -206,10 +206,12 @@ def read_text(path) -> str:
 
 
 def read_csv(path, required):
-    """Yield (line, cells) per data row of a CSV file read by `read_text`, cells
-    being the fields of the `required` columns (two or more names, matched
-    after strip().lower()) in that order. Blank lines are skipped; a missing or repeated
-    column and a row whose width differs from the header's are refused with path:line."""
+    """Yield (line, values) per data row of a CSV file read by `read_text`, values
+    being the cells of the `required` columns (two or more names, matched after
+    strip().lower()) in that order: a date from `date`, a finite float from any
+    other. Blank lines are skipped; a missing or repeated column, a row whose width
+    differs from the header's and a cell that does not parse or is not finite are
+    refused with path:line."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
@@ -226,29 +228,29 @@ def read_csv(path, required):
     for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):  # a blank line
             continue
-        # line_num is the row's last line: a quoted cell may span several
+        line = reader.line_num  # the row's last line: a quoted cell may span several
         if len(row) != len(names):
-            raise ValueError(f"{path}:{reader.line_num}: expected {len(names)} fields, got {len(row)}")
-        yield reader.line_num, cells(row)
+            raise ValueError(f"{path}:{line}: expected {len(names)} fields, got {len(row)}")
+        values = []
+        for name, text in zip(required, cells(row)):
+            is_date = name.lower() == "date"
+            try:
+                value = dt.date.fromisoformat(text.strip()) if is_date else float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{line}: bad {name} value {text!r}") from None
+            if not (is_date or math.isfinite(value)):
+                raise ValueError(f"{path}:{line}: non-finite {name} value {text!r}")
+            values.append(value)
+        yield line, values
 
 
 def load_series_csv(path) -> TimeSeries:
     """Read a CSV with `date` and `cases` columns into a TimeSeries; a bad
-    row, such as a non-finite count or a date that is not the day after the
+    row, such as a negative count or a date that is not the day after the
     one before, is rejected with its file and line."""
     dates: list[dt.date] = []
     values: list[float] = []
-    for lineno, (date, cases) in read_csv(path, ("date", "cases")):
-        try:
-            day = dt.date.fromisoformat(date.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad date {date!r}") from exc
-        try:
-            count = float(cases)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad count {cases!r}") from exc
-        if not math.isfinite(count):
-            raise ValueError(f"{path}:{lineno}: non-finite count {cases!r}")
+    for lineno, (day, count) in read_csv(path, ("date", "cases")):
         if count < 0:
             raise ValueError(f"{path}:{lineno}: negative count {count}")
         if dates and (day - dates[-1]).days != 1:

@@ -11,10 +11,6 @@ import numpy as np
 from . import arima
 from .series import NO_TRANSFORM, values_of
 
-# Haar filters rescaled for the maximal-overlap transform (h/sqrt(2), g/sqrt(2)).
-_HAAR_DETAIL = np.array([0.5, -0.5])
-_HAAR_SMOOTH = np.array([0.5, 0.5])
-
 SUBSERIES_MAX_ORDER = 3
 
 
@@ -34,14 +30,6 @@ class ModwtDecomposition:
     levels: int
 
 
-def _circular_filter(x: np.ndarray, kernel: np.ndarray, level: int, synthesis: bool) -> np.ndarray:
-    n = len(x)
-    step = 2 ** (level - 1)
-    sign = 1 if synthesis else -1
-    idx = (np.arange(n)[:, None] + sign * step * np.arange(len(kernel))[None, :]) % n
-    return x[idx] @ kernel
-
-
 def modwt(values, levels: int) -> ModwtDecomposition:
     """Haar MODWT pyramid with periodic boundary handling."""
     x = values_of(values)
@@ -53,11 +41,15 @@ def modwt(values, levels: int) -> ModwtDecomposition:
     max_levels = int(math.floor(math.log2(n)))
     if levels > max_levels:
         raise ValueError(f"levels {levels} exceeds floor(log2({n})) = {max_levels}")
+    # the Haar filters rescaled for the maximal-overlap transform, (0.5, -0.5)
+    # and (0.5, 0.5), at lag 2^(j-1); + 0.0 turns each -0.0 into +0.0, so
+    # that no zero of a sub-series or a reconstruction carries a sign
     details = []
     smooth = x
     for j in range(1, levels + 1):
-        details.append(_circular_filter(smooth, _HAAR_DETAIL, j, synthesis=False))
-        smooth = _circular_filter(smooth, _HAAR_SMOOTH, j, synthesis=False)
+        half, lagged = 0.5 * smooth, 0.5 * np.roll(smooth, 2 ** (j - 1))
+        details.append(half - lagged + 0.0)
+        smooth = half + lagged + 0.0
     return ModwtDecomposition(details=tuple(details), smooth=smooth, levels=levels)
 
 
@@ -65,8 +57,9 @@ def imodwt(dec: ModwtDecomposition) -> np.ndarray:
     """Invert the pyramid; exact reconstruction up to floating-point error."""
     smooth = dec.smooth
     for j in range(dec.levels, 0, -1):
-        smooth = _circular_filter(dec.details[j - 1], _HAAR_DETAIL, j, synthesis=True) + \
-            _circular_filter(smooth, _HAAR_SMOOTH, j, synthesis=True)
+        detail, lead = dec.details[j - 1], -2 ** (j - 1)
+        smooth = (0.5 * detail - 0.5 * np.roll(detail, lead)) + \
+            (0.5 * smooth + 0.5 * np.roll(smooth, lead)) + 0.0
     return smooth
 
 

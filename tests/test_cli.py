@@ -223,14 +223,14 @@ class TestForecast:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("header, rows, message", [
-        ("date,cases", ["2020-03-01,4", "2020-03-02,nan"], "3: non-finite count 'nan'"),
-        ("date,cases", ["2020-03-01,inf"], "2: non-finite count 'inf'"),
+        ("date,cases", ["2020-03-01,4", "2020-03-02,nan"], "3: non-finite cases value 'nan'"),
+        ("date,cases", ["2020-03-01,inf"], "2: non-finite cases value 'inf'"),
         ("date,cases", ["2020-03-01,4", "2020-03-02,5", "2020-03-02,6"],
          "4: date 2020-03-02 is not the day after 2020-03-02"),
         ("date,cases", ["2020-03-01,4", "2020-03-03,5"],
          "3: date 2020-03-03 is not the day after 2020-03-01"),
         # a quoted cell that spans lines 2 and 3
-        ("date,cases", ['2020-03-01,"4', '"', "2020-03-02,x"], "4: bad count 'x'"),
+        ("date,cases", ['2020-03-01,"4', '"', "2020-03-02,x"], "4: bad cases value 'x'"),
         # a repeated name is refused, whichever copy a reader would take
         ("date,cases,cases", ["2020-03-01,9,1"], "1: column cases appears twice"),
         ("date,cases", ["2020-03-01,4", "2020-03-02,5,999"], "3: expected 2 fields, got 3"),
@@ -354,6 +354,37 @@ def test_non_utf8_config_names_file_and_line(tmp_path, capsys):
     assert run_cli("fetch", "india", "--config", str(config)) == 1
     assert capsys.readouterr().err == f"fetch: {config}:2: not UTF-8 text\n"
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command, column, text, fault", [
+    ("forecast", "cases", "x", "bad"),
+    ("forecast", "cases", "nan", "non-finite"),
+    ("forecast", "date", "2020-13-01", "bad"),
+    ("risktree", "pct_over_65", "x", "bad"),
+    ("risktree", "cfr", "-inf", "non-finite"),
+    ("eval", "hybrid", "x", "bad"),
+    ("eval", "hybrid", "NaN", "non-finite"),
+    ("eval", "date", "banana", "bad"),
+])
+def test_bad_cell_wording_is_one_for_every_input(tmp_path, data_dir, capsys, command, column, text, fault):
+    # series.read_csv parses the cells of the series, the risk table and the
+    # eval forecast file, so every command words a bad cell alike
+    series = write_series(tmp_path / "s.csv", range(30))
+    source = {"forecast": series.read_text(),
+              "risktree": (data_dir / "cfr_countries.csv").read_text(),
+              "eval": series.read_text().replace("cases", "hybrid")}[command]
+    header, *rows = source.splitlines()
+    fields = rows[3].split(",")
+    fields[header.split(",").index(column)] = text
+    rows[3] = ",".join(fields)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    inputs = [series, path] if command == "eval" else [path]
+    assert run_cli(command, *map(str, inputs), "--out", str(tmp_path / "o")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: {path}:5: {fault} {column} value {text!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, renderer",
@@ -534,7 +565,7 @@ class TestRisktree:
         path = tmp_path / "gap.csv"
         path.write_text("\n".join(lines) + "\n")
         assert run_cli("risktree", str(path), "--out", str(tmp_path / "o")) == 1
-        assert f"{path}:7: column total_cases_thousands: not a number: 'many'" in capsys.readouterr().err
+        assert f"{path}:7: bad total_cases_thousands value 'many'" in capsys.readouterr().err
 
     def test_negative_seed_flag_rejected_before_fitting(self, tmp_path, data_dir, monkeypatch, capsys):
         monkeypatch.setattr(tree, "cross_validate", _must_not_fit)
@@ -598,7 +629,7 @@ class TestEval:
         # a repeated name is refused, whichever copy a reader would take
         ("date,hybrid,hybrid", "2020-03-02,2,7", "1: column hybrid appears twice"),
         ("date,hybrid", "2020-03-02,2,7", "3: expected 2 fields, got 3"),
-        ("date,hybrid", "banana,2", "3: bad date 'banana'"),
+        ("date,hybrid", "banana,2", "3: bad date value 'banana'"),
     ], ids=["nan-non-finite hybrid value 'nan'", "inf-non-finite hybrid value 'inf'",
             "abc-bad hybrid value 'abc'", "-bad hybrid value ''",  # cell and message
             "repeated-column", "third-field", "bad-date"])
@@ -629,6 +660,17 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "eval: --column date: the date column holds no values to score\n"
+
+    @pytest.mark.parametrize("column", ["", "  "], ids=["empty", "spaces"])
+    @pytest.mark.parametrize("end", ["", ","], ids=["plain", "blank-header-cell"])
+    def test_blank_column_names_the_option(self, tmp_path, capsys, column, end):
+        # a header with a trailing comma has a blank column for the blank name to find
+        path = tmp_path / "f.csv"
+        path.write_text("".join(f"{line}{end}\n" for line in ("date,cases", "2020-03-01,1")))
+        assert run_cli("eval", str(path), str(path), "--column", column) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"eval: --column {column!r}: names no column\n"
 
     def test_duplicate_date_rejected(self, tmp_path, capsys):
         actual = tmp_path / "a.csv"

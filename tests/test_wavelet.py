@@ -5,6 +5,7 @@ import pytest
 
 from epiforecast import arima
 from epiforecast.wavelet import (
+    ModwtDecomposition,
     decomposition_level,
     imodwt,
     modwt,
@@ -42,6 +43,17 @@ class TestTransform:
             levels = min(decomposition_level(n), int(np.log2(n)))
             rec = imodwt(modwt(x, levels))
             assert np.max(np.abs(rec - x)) <= 1e-8
+
+    def test_negative_zero_series_decomposes_to_positive_zero(self):
+        # the filters sum -0.0 and -0.0, or -0.0 and -(+0.0), to +0.0, so no
+        # sub-series and no reconstruction carries a sign that only zeros give
+        minus, mixed = np.full(16, -0.0), np.array([-0.0, 0.0] * 8)
+        parts = [imodwt(ModwtDecomposition(details=(mixed,), smooth=minus, levels=1))]
+        for x in (minus, mixed):
+            dec = modwt(x, 4)
+            parts += [*dec.details, dec.smooth, imodwt(dec)]
+        for part in parts:
+            assert part.tobytes() == np.zeros(16).tobytes()
 
     def test_energy_identity(self):
         rng = np.random.default_rng(1)

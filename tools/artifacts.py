@@ -17,7 +17,13 @@ writes:
   50 rows) and with `--minsplit 9`;
 - `risktree/seed<S>_folds5/` and `risktree/seed<S>_minsplit2/`: the same
   with `--folds 5` and with `--minsplit 2` (a deep tree: 46 leaves and 41
-  pruning steps at seed 0), for fold seeds 0-9.
+  pruning steps at seed 0), for fold seeds 0-9;
+- `errors/<name>.csv` and `errors/<name>.txt`: for each case of `ERRORS`, a
+  copy of a file written above with one line changed, and the one-line
+  stderr of the command that refuses it; the `eval_*_column` cases hold
+  only the stderr of `eval --column` with a blank name. These commands run
+  in OUT and are given paths relative to it, so that the messages, which
+  name the file, compare across checkouts.
 """
 
 from __future__ import annotations
@@ -40,6 +46,32 @@ FOLD_SEEDS = range(35)
 SHORT_SEEDS = range(10)
 ESCAPED = "a&b<c>"
 
+# the files that the malformed copies change, relative to OUT
+SERIES = "series/india.csv"
+TABLE = f"series/{datasets.CFR_TABLE}.csv"
+FORECAST = "forecast/long/long_forecast.csv"
+# name: (source, line, field, text); the command that the name starts with
+# refuses a copy of the source whose field on that line (counted from 1 and
+# from 0) is set to text. "\udce9" writes the byte 0xe9, not UTF-8 alone.
+ERRORS = {
+    "forecast_bad_cell": (SERIES, 3, 1, "x"),
+    "forecast_nan_cell": (SERIES, 3, 1, "nan"),
+    "forecast_bad_date": (SERIES, 3, 0, "banana"),
+    "forecast_ragged_row": (SERIES, 3, 1, "1,7"),
+    "forecast_repeated_column": (SERIES, 1, 1, "cases,cases"),
+    "forecast_not_utf8": (SERIES, 3, 1, "1\udce9"),
+    "risktree_bad_cell": (TABLE, 3, 1, "many"),
+    "risktree_nan_cell": (TABLE, 3, 11, "nan"),
+    "risktree_ragged_row": (TABLE, 3, 11, "0.05,7"),
+    "risktree_repeated_column": (TABLE, 1, 11, "cfr,cfr"),
+    "risktree_not_utf8": (TABLE, 3, 0, "spain\udce9"),
+    "eval_bad_cell": (FORECAST, 3, 3, "x"),
+    "eval_nan_cell": (FORECAST, 3, 3, "nan"),
+    "eval_bad_date": (FORECAST, 3, 0, "banana"),
+    "eval_ragged_row": (FORECAST, 3, 3, "1,7"),
+    "eval_repeated_column": (FORECAST, 1, 3, "hybrid,hybrid"),
+    "eval_not_utf8": (FORECAST, 3, 3, "1\udce9"),
+}
 
 def run(*argv) -> None:
     argv = [str(a) for a in argv]
@@ -47,6 +79,34 @@ def run(*argv) -> None:
         status = cli.main(argv)
     if status:
         sys.exit(f"epiforecast {' '.join(argv)} exited with {status}")
+
+
+def refused(name, *argv) -> None:
+    """Run a command that must fail; write its stderr to errors/<name>.txt."""
+    argv = [str(a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    if status != 1:
+        sys.exit(f"epiforecast {' '.join(argv)} exited with {status}, not 1")
+    Path("errors", f"{name}.txt").write_text(err.getvalue())
+
+
+def malformed_inputs(out: Path) -> None:
+    """The `errors/` set, run in `out` on paths relative to it."""
+    with contextlib.chdir(out):
+        Path("errors").mkdir()
+        for name, (source, line, field, text) in ERRORS.items():
+            lines = Path(source).read_text().splitlines()
+            fields = lines[line - 1].split(",")
+            fields[field] = text
+            lines[line - 1] = ",".join(fields)
+            path = Path("errors", f"{name}.csv")
+            path.write_bytes("\n".join(lines).encode(errors="surrogateescape") + b"\n")
+            command = name.split("_")[0]
+            refused(name, command, *(["series/long_full.csv"] if command == "eval" else []), path)
+        for name, column in (("eval_empty_column", ""), ("eval_blank_column", "  ")):
+            refused(name, "eval", "series/long_full.csv", FORECAST, "--column", column)
 
 
 def main() -> None:
@@ -74,6 +134,7 @@ def main() -> None:
             "--out", out / "risktree" / f"seed{seed}_folds5")
         run("risktree", table, "--seed", seed, "--minsplit", 2,
             "--out", out / "risktree" / f"seed{seed}_minsplit2")
+    malformed_inputs(out)
 
 
 if __name__ == "__main__":
