@@ -108,7 +108,6 @@ class ArimaFit:
     bic: float
     loglik: float
     transform: TransformSpec
-    k_params: int
     transformed: np.ndarray = field(repr=False)
     min_root_modulus: float
 
@@ -500,7 +499,6 @@ def _fit_job(job, estimate) -> ArimaFit:
         bic=bic,
         loglik=loglik,
         transform=transform,
-        k_params=k,
         transformed=z,
         min_root_modulus=min_root,
     )
@@ -546,7 +544,8 @@ def _select(grids: list, reject_near_unit_roots: bool) -> list:
     """The fit each grid of `fit_arima` jobs picks, every grid fitted in one
     `_fit_cells` batch: the least (aic, p + q, bic, p, q) among the cells
     that fitted and, if `reject_near_unit_roots`, keep their roots off the
-    unit circle. A grid with no such cell gets a ConvergenceError instead."""
+    unit circle. A grid with no such cell gets a ConvergenceError instead.
+    A one-cell grid without the gate is a plain refit of its job."""
     results = iter(_fit_cells([job for grid in grids for job in grid]))
     chosen = []
     for grid in grids:
@@ -557,7 +556,9 @@ def _select(grids: list, reject_near_unit_roots: bool) -> list:
         if fits:
             r, job = min(fits, key=lambda f: (f[0].aic, f[0].order.p + f[0].order.q, f[0].bic,
                                                f[0].order.p, f[0].order.q))
-            chosen.append(_kept(job, r))
+            # arrays built here share one dtype object, as `fit_arima`'s do, and pickle the same
+            chosen.append(_fit_job(job, lambda *_: (np.array(r.phi, dtype=float),
+                                                    np.array(r.theta, dtype=float), r.intercept)))
         else:
             failure = next(r for r in cells if isinstance(r, Exception))
             chosen.append(ConvergenceError(f"every (p,q) grid cell failed; first failure: {failure}"))
@@ -569,7 +570,7 @@ _pool = None
 
 
 # what a worker sends back of a grid cell's fit: a few numbers, where the
-# whole fit holds two arrays as long as the series; `_kept` rebuilds the fit
+# whole fit holds two arrays as long as the series; `_select` rebuilds the fit
 _Verdict = namedtuple("_Verdict", "order aic bic min_root_modulus phi theta intercept")
 
 
@@ -583,13 +584,6 @@ def _fit_cell(job):
         return exc
     return _Verdict(order, fit.aic, fit.bic, fit.min_root_modulus, fit.phi.tolist(),
                     fit.theta.tolist(), fit.intercept)
-
-
-def _kept(job, verdict: _Verdict) -> ArimaFit:
-    """The job's `fit_arima`, bit for bit, from its verdict's coefficients. Built
-    here, the arrays share one dtype object, as `fit_arima`'s do, and pickle the same."""
-    return _fit_job(job, lambda *_: (np.array(verdict.phi, dtype=float),
-                                     np.array(verdict.theta, dtype=float), verdict.intercept))
 
 
 @atexit.register

@@ -15,11 +15,22 @@ from .series import LOG_TRANSFORM, TimeSeries
 class HybridFit:
     base: arima.ArimaFit
     residual_model: wavelet.WbfFit | None
-    base_fitted: np.ndarray
     residual_level: np.ndarray
-    residual_fitted: np.ndarray
-    fitted_values: np.ndarray
     diagnostics: dict
+
+    @property
+    def base_fitted(self) -> np.ndarray:
+        return self.base.fitted_level()
+
+    @property
+    def residual_fitted(self) -> np.ndarray:
+        if self.residual_model is None:
+            return np.zeros(len(self.residual_level))
+        return self.residual_model.fitted_values()
+
+    @property
+    def fitted_values(self) -> np.ndarray:
+        return self.base_fitted + self.residual_fitted
 
     def to_dict(self) -> dict:
         return {
@@ -52,29 +63,16 @@ def fit_hybrid(s: TimeSeries, *, order: arima.ArimaOrder | None = None) -> Hybri
     if order is None:
         order = arima.select_order(s, LOG_TRANSFORM)
     base = arima.fit_arima(s, order, LOG_TRANSFORM)
-    base_fitted = base.fitted_level()
-    residual_level = s.values - base_fitted
+    residual_level = s.values - base.fitted_level()
 
     diagnostics: dict = {"stage2_degraded": False}
     try:
         residual_model = wavelet.wbf_fit(residual_level)
-        residual_fitted = residual_model.fitted_values()
     except (ValueError, arima.ConvergenceError) as exc:
         residual_model = None
-        residual_fitted = np.zeros(s.n)
         diagnostics["stage2_degraded"] = True
         diagnostics["stage2_error"] = str(exc)
-
-    fitted_values = base_fitted + residual_fitted
-    return HybridFit(
-        base=base,
-        residual_model=residual_model,
-        base_fitted=base_fitted,
-        residual_level=residual_level,
-        residual_fitted=residual_fitted,
-        fitted_values=fitted_values,
-        diagnostics=diagnostics,
-    )
+    return HybridFit(base, residual_model, residual_level, diagnostics)
 
 
 def forecast_components(fit: HybridFit, h: int) -> HybridForecast:

@@ -207,11 +207,11 @@ def read_text(path) -> str:
 
 def read_csv(path, required):
     """Yield (line, values) per data row of a CSV file read by `read_text`, values
-    being the cells of the `required` columns (two or more names, matched after
-    strip().lower()) in that order: a date from `date`, a finite float from any
-    other. Blank lines are skipped; a missing or repeated column, a row whose width
-    differs from the header's and a cell that does not parse or is not finite are
-    refused with path:line."""
+    being the cells of the `required` columns (two or more names, matched and
+    named in messages after strip().lower()) in that order: a date from `date`,
+    a finite float from any other. Blank lines are skipped; a missing or repeated
+    column, a row whose width differs from the header's and a cell that does not
+    parse or is not finite are refused with path:line."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
     if header is None:
@@ -221,10 +221,11 @@ def read_csv(path, required):
     for k, name in enumerate(names):
         if name and name in names[:k]:
             raise ValueError(f"{where}: column {name} appears twice")
-    missing = [name for name in required if name.lower() not in names]
+    required = [name.strip().lower() for name in required]
+    missing = [name for name in required if name not in names]
     if missing:
         raise ValueError(f"{where}: header is missing required columns: {', '.join(missing)}")
-    cells = operator.itemgetter(*(names.index(name.lower()) for name in required))
+    cells = operator.itemgetter(*(names.index(name) for name in required))
     for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):  # a blank line
             continue
@@ -233,7 +234,7 @@ def read_csv(path, required):
             raise ValueError(f"{path}:{line}: expected {len(names)} fields, got {len(row)}")
         values = []
         for name, text in zip(required, cells(row)):
-            is_date = name.lower() == "date"
+            is_date = name == "date"
             try:
                 value = dt.date.fromisoformat(text.strip()) if is_date else float(text)
             except ValueError:

@@ -96,8 +96,8 @@ def wbf_fit(values) -> WbfFit:
     construction, so differencing is disabled and orders are capped low. A
     sub-series whose fit fails degrades to a mean-only model and is flagged.
 
-    The order grids of all sub-series are fitted as one batch, and then the
-    refits of the chosen orders, so that the cells spread over the CPUs.
+    The order grids of all sub-series are fitted as one batch, then the
+    refits of the chosen orders as one batch of one-cell grids, on every CPU.
     """
     x = values_of(values)
     levels = decomposition_level(len(x))
@@ -117,9 +117,9 @@ def wbf_fit(values) -> WbfFit:
     # residuals as the refit would, so it is the refit
     refits = [i for i, fit in enumerate(chosen)
               if isinstance(fit, arima.ArimaFit) and fit.order.p < SUBSERIES_MAX_ORDER]
-    jobs = [(sub_series[i], chosen[i].order, NO_TRANSFORM, None) for i in refits]
-    for i, job, result in zip(refits, jobs, arima._fit_cells(jobs)):
-        chosen[i] = result if isinstance(result, Exception) else arima._kept(job, result)
+    grids = [[(sub_series[i], chosen[i].order, NO_TRANSFORM, None)] for i in refits]
+    for i, fit in zip(refits, arima._select(grids, reject_near_unit_roots=False)):
+        chosen[i] = fit
     fits = []
     fallbacks = []
     for i, (sub, fit) in enumerate(zip(sub_series, chosen)):

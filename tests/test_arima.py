@@ -57,7 +57,7 @@ class TestFit:
 
     def test_information_criteria_identity(self):
         fit = fit_arima(sim_ar1(1), ArimaOrder(1, 0, 1))
-        k = fit.k_params
+        k = 4  # phi, theta, the intercept and sigma2 of ARIMA(1,0,1) with intercept
         n_eff = len(diff_values(fit.transformed, fit.order.d)) - fit.order.p
         assert fit.aic == pytest.approx(-2 * fit.loglik + 2 * k, rel=1e-12)
         assert fit.bic == pytest.approx(-2 * fit.loglik + k * math.log(n_eff), rel=1e-12)
@@ -747,6 +747,29 @@ class TestCellScheduler:
         monkeypatch.setattr(os, "fork", no_fork)
         assert select_order(sim_ar1(7, n=60), max_p=2, max_q=2, force_d=0) == ArimaOrder(1, 0, 0)
         assert arima._pool is None
+
+    def test_failed_sub_series_refit_falls_back_to_mean_only(self, monkeypatch):
+        top = wavelet.SUBSERIES_MAX_ORDER
+        x = np.cumsum(np.random.default_rng(0).normal(size=40)) + 5 * np.sin(np.arange(40) / 2)
+        dec = wavelet.modwt(x, wavelet.decomposition_level(len(x)))
+        orders = [select_order(sub, max_p=top, max_q=top, force_d=0, reject_near_unit_roots=False)
+                  for sub in [*dec.details, dec.smooth]]
+        estimate = arima._estimate
+
+        def refits_fail(w, p, q, use_intercept, n_cond):
+            # grid cells condition on `top` residuals; only refits on fewer
+            if p + q >= 1 and n_cond < top:
+                raise arima.ConvergenceError("refit failed")
+            return estimate(w, p, q, use_intercept, n_cond)
+
+        _one_cpu(monkeypatch)  # the patch reaches no worker process
+        monkeypatch.setattr(arima, "_estimate", refits_fail)
+        fit = wavelet.wbf_fit(x)
+        failed = [i for i, order in enumerate(orders) if order.p < top and order.p + order.q >= 1]
+        assert failed and len(failed) < len(orders)
+        assert fit.fallbacks == failed
+        assert [f.order for f in fit.sub_fits] == [
+            ArimaOrder(0, 0, 0) if i in failed else order for i, order in enumerate(orders)]
 
     def test_select_order_inside_pool_worker(self):
         values = sim_ar1(8, n=60)

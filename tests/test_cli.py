@@ -621,6 +621,18 @@ class TestEval:
         assert payload["metrics"]["rmse"] == pytest.approx(np.sqrt(2.0 / 3.0))
         assert payload["metrics"]["mae"] == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("column", [" hybrid ", "Hybrid ", "HYBRID"])
+    def test_column_name_ignores_case_and_surrounding_spaces(self, tmp_path, capsys, column):
+        actual = tmp_path / "a.csv"
+        actual.write_text("date,cases\n2020-03-01,1\n2020-03-02,2\n2020-03-03,3\n")
+        forecast = tmp_path / "f.csv"
+        forecast.write_text("date,hybrid\n2020-03-01,2\n2020-03-02,2\n2020-03-03,2\n")
+        assert run_cli("eval", str(actual), str(forecast), "--column", "hybrid") == 0
+        plain = capsys.readouterr().out
+        assert run_cli("eval", str(actual), str(forecast), "--column", column) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (plain, "")
+
     @pytest.mark.parametrize("header, row, message", [
         ("date,hybrid", "2020-03-02,nan", "3: non-finite hybrid value 'nan'"),
         ("date,hybrid", "2020-03-02,inf", "3: non-finite hybrid value 'inf'"),

@@ -90,10 +90,7 @@ class TestForecast:
         degraded = hybrid.HybridFit(
             base=fit.base,
             residual_model=None,
-            base_fitted=fit.base_fitted,
             residual_level=fit.residual_level,
-            residual_fitted=np.zeros(s.n),
-            fitted_values=fit.base_fitted,
             diagnostics={"stage2_degraded": True},
         )
         fc = hybrid.forecast_hybrid(degraded, 10)

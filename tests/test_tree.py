@@ -815,6 +815,26 @@ class TestCrossValidate:
                 assert fitted.table.y.tobytes() == sub.y.tobytes()
                 assert_same_tree(fitted, grow(sub, full.minsplit, full.minbucket))
 
+    def test_level_searched_in_several_passes_changes_nothing(self, cfr_table, monkeypatch):
+        default = cross_validate(cfr_table, seed=0)
+        runs = []  # per level: how many `_best_splits` passes search it
+        passes = tree._passes
+
+        def recording(level):
+            found = passes(level)
+            runs.append(len(found))
+            return found
+
+        monkeypatch.setattr(tree, "_passes", recording)
+        # a level whose padding would exceed twice its rows now takes several passes
+        monkeypatch.setattr(tree, "_PASS_CELLS", 1)
+        split = cross_validate(cfr_table, seed=0)
+        assert max(runs) > 1
+        assert [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in split.table] == \
+            [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in default.table]
+        assert split.alpha.hex() == default.alpha.hex()
+        assert_same_tree(split.tree, default.tree)
+
     @pytest.mark.parametrize("folds", [5, 10])
     @pytest.mark.parametrize("minsplit", [None, 9])
     def test_matches_pruned_fold_trees_on_cfr(self, cfr_table, minsplit, folds):

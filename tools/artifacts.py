@@ -2,9 +2,10 @@
 
     python3 tools/artifacts.py OUT
 
-Run it in two checkouts, then compare them with `diff -r OUT_A OUT_B`. It
-runs the `epiforecast` CLI of the checkout it lives in, in one process, and
-writes:
+Run it in two checkouts, then compare them with `diff -r OUT_A OUT_B`. OUT
+must be a new or an empty directory, so that no file of an earlier run
+enters the comparison. The tool runs the `epiforecast` CLI of the checkout
+it lives in, in one process, and writes:
 
 - `series/`: the bundled datasets, `long_full.csv`, the benchmark's seed-0
   long series of 1000 days (`bench/inputs.long_series`), and `long.csv`,
@@ -111,8 +112,10 @@ def malformed_inputs(out: Path) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="directory to write (created)")
+    parser.add_argument("out", type=Path, help="new or empty directory to write")
     out = parser.parse_args().out
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        sys.exit(f"artifacts.py: {out} exists and is not an empty directory")
     series = out / "series"
     run("fetch", "all", "--out", series)
     counts = long_series(np.random.default_rng(0), LONG_DAYS)
