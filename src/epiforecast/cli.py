@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -80,39 +81,34 @@ def _json_text(payload: dict) -> str:
 
 
 def _publish(args, files: dict) -> list[Path]:
-    """Create the output directory, write each {name: text} file into it
-    as is, and return their paths in order. Every command renders all its
-    files before this call, so a failure anywhere leaves nothing behind."""
+    """Create the output directory, write each {name: text} file into it,
+    both encoded as UTF-8 under any locale, and return their paths in order.
+    Commands render all files first, so a failure anywhere leaves nothing behind."""
     out = Path(args.out if args.out is not None else "out")
+    data = {out / os.fsdecode(name.encode("utf-8", "surrogateescape")):
+            text.encode("utf-8", "surrogateescape") for name, text in files.items()}
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        with open(out / name, "w", newline="") as fh:
-            fh.write(text)
-    return [out / name for name in files]
+    for path, raw in data.items():
+        path.write_bytes(raw)
+    return list(data)
 
 
-def cmd_fetch(args) -> int:
+def cmd_fetch(args) -> None:
     from . import datasets
 
     names = [*datasets.BUNDLED_SERIES, datasets.CFR_TABLE]
+    if args.source not in ("all", *names):
+        raise ValueError(f"unknown dataset {args.source!r}; available: {', '.join(names)}")
     wanted = names if args.source == "all" else [args.source]
-    for name in wanted:
-        if name not in names:
-            print(
-                f"fetch: unknown dataset {name!r}; available: {', '.join(names)}",
-                file=sys.stderr,
-            )
-            return 1
     print(*_publish(args, {f"{name}.csv": datasets.bundled_path(name).read_text()
                            for name in wanted}), sep="\n")
-    return 0
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> None:
     from . import arima, hybrid, metrics, svgplot, wavelet
 
     path = Path(args.input)
-    stem = path.stem
+    stem = os.fsencode(path.stem).decode("utf-8", "surrogateescape")  # UTF-8, as _publish writes
     s = load_series_csv(path)
 
     try:
@@ -156,10 +152,9 @@ def cmd_forecast(args) -> int:
                                         "model": fit.to_dict(), "training_metrics": train}),
         f"{stem}_plot.svg": plot,
     }), sep="\n")
-    return 0
 
 
-def cmd_risktree(args) -> int:
+def cmd_risktree(args) -> None:
     from . import datasets, metrics, svgplot, tree
 
     table = datasets.load_cfr_csv(args.input)
@@ -171,7 +166,7 @@ def cmd_risktree(args) -> int:
 
     payload = fitted.to_dict()
     payload["cv"] = {
-        "alpha": cv.alpha,
+        "alpha": fitted.alpha,
         "folds": args.folds,
         "seed": args.seed,
         "table": [
@@ -193,10 +188,9 @@ def cmd_risktree(args) -> int:
             "metrics": payload["metrics"], "n_leaves": fitted.n_leaves(),
             "variables_used": sorted(table.names[v] for v in fitted.used_variables())}),
     }), sep="\n")
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     from . import metrics
 
     if args.column.strip().lower() == "date":
@@ -207,8 +201,7 @@ def cmd_eval(args) -> int:
     predicted = _read_dated_column(args.forecast, value_field=args.column)
     shared = sorted(set(actual) & set(predicted))
     if not shared:
-        print("eval: no overlapping dates between the two files", file=sys.stderr)
-        return 1
+        raise ValueError("no overlapping dates between the two files")
     a = np.array([actual[d] for d in shared])
     p = np.array([predicted[d] for d in shared])
     report = metrics.report(a, p)
@@ -217,7 +210,6 @@ def cmd_eval(args) -> int:
     print(text, end="")
     if args.out is not None:
         _publish(args, {"eval.json": text})
-    return 0
 
 
 def _read_dated_column(path, value_field: str) -> dict:
@@ -276,10 +268,11 @@ def main(argv=None) -> int:
             flags = _CONFIG_KEYS.keys() & vars(args).keys()
             sub.choices[args.command].set_defaults(**load_config_file(args.config, args.command, flags))
             args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -193,12 +193,6 @@ def _is_pure(y: np.ndarray, sse: float) -> bool:
     return sse <= PURITY_TOL_REL * max(float(np.dot(y, y)), 1e-300)
 
 
-def _level_masks(col: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """The sorted levels of a categorical column, and each level's row mask."""
-    levels = sorted(set(col.tolist()))
-    return levels, col == np.array(levels)[:, None]
-
-
 def _subset_sums(per_level: np.ndarray) -> np.ndarray:
     """Sum of `per_level` (along its last axis) over the left levels of every
     cut of a categorical variable: the proper subsets of its levels in
@@ -556,7 +550,6 @@ def prune_sequence(tree: RegressionTree) -> list[tuple[float, RegressionTree]]:
 
 @dataclass
 class CrossValidation:
-    alpha: float
     tree: RegressionTree
     table: list[tuple[float, int, float, float]]  # (alpha, n_leaves, cv_error, cv_se)
 
@@ -615,7 +608,6 @@ def cross_validate(
     chosen = max([best_i, *(i for i, m in enumerate(cv_mean) if m <= cutoff)])
     # T_k has one leaf more than its internal nodes, those whose alpha exceeds alpha_k
     return CrossValidation(
-        alpha=alphas[chosen],
         tree=replace(full, alpha=alphas[chosen]),
         table=[(a, 1 + sum(g > a for g in full.gone), float(cv_mean[i]), float(cv_se[i]))
                for i, a in enumerate(alphas)],
@@ -661,9 +653,9 @@ def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_lef
         # primary-right rows on its right side
         agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]
     else:
-        _, on = _level_masks(col)
-        # a subset agrees on its levels' primary-left rows and on every
-        # primary-right row outside them
+        # each sorted level's row mask; a subset agrees on its levels'
+        # primary-left rows and on every primary-right row outside them
+        on = col == np.array(sorted(set(col.tolist())))[:, None]
         agree = _subset_sums(on @ np.where(went_left, 1, -1)) + n - np.count_nonzero(went_left)
     best = int(np.max(np.maximum(agree, n - agree), initial=0))
     return best / n

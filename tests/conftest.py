@@ -23,10 +23,12 @@ def make_series(values, start=dt.date(2020, 3, 1)) -> TimeSeries:
     return TimeSeries(dates=dates, values=values)
 
 
-def run_fresh(code, *args):
-    """Run `code` in a fresh interpreter that imports this package; its stdout."""
+def run_fresh(code, *args, env=None):
+    """Run `code` in a fresh interpreter that imports this package, with the
+    variables of `env` added to the environment; its stdout."""
     src = str(Path(datasets.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Command-line driver contract tests (all offline, bundled data only)."""
 
+import codecs
 import csv
 import datetime as dt
 import gc
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 from epiforecast import arima, cli, hybrid, svgplot, tree, wavelet
+
+from conftest import run_fresh
 
 
 # the UTF-8 byte-order mark
@@ -72,7 +75,8 @@ class TestFetch:
         # there is no network code: a URL is just a name no dataset has
         url = "https://example.org/x.csv"
         assert run_cli("fetch", url, "--out", str(tmp_path / "o")) == 1
-        assert capsys.readouterr().err.startswith(f"fetch: unknown dataset {url!r}; available: ")
+        assert capsys.readouterr().err == (f"fetch: unknown dataset {url!r}; available: canada, "
+                                           "france, india, south_korea, uk, cfr_countries\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -139,6 +143,26 @@ class TestForecast:
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (india_run / name).read_bytes()
+
+    def test_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        path = write_series(tmp_path / "Côte.csv", [3 + i + 5 * (i % 4) for i in range(30)])
+        code = ("import locale, sys\nfrom epiforecast import cli\n"
+                "print(locale.getpreferredencoding(False))\nsys.exit(cli.main(sys.argv[1:]))")
+        ascii_env = {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}
+        outs = {}
+        for label, env in (("default", None), ("ascii", ascii_env)):
+            outs[label] = tmp_path / label
+            # the first line is the child's preferred encoding; the C-locale run's is kept
+            encoding = run_fresh(code, "forecast", path, "--out", outs[label], env=env).splitlines()[0]
+        names = sorted(p.name for p in outs["default"].iterdir())
+        assert names == sorted(f"Côte_{kind}" for kind in
+                               ("fit.json", "forecast.csv", "models.csv", "plot.svg"))
+        assert sorted(p.name for p in outs["ascii"].iterdir()) == names
+        for name in names:
+            assert (outs["ascii"] / name).read_bytes() == (outs["default"] / name).read_bytes()
+        assert json.loads((outs["default"] / "Côte_fit.json").read_text("utf-8"))["series"] == "Côte"
+        if codecs.lookup(encoding).name == "utf-8":
+            pytest.skip("the C locale's preferred encoding is UTF-8 here")
 
     def test_horizon_flag(self, tmp_path, data_dir):
         out = tmp_path / "h5"
@@ -608,8 +632,11 @@ class TestEval:
         other = tmp_path / "later.csv"
         rows = "\n".join(f"2021-01-{i + 1:02d},{i}" for i in range(9))
         other.write_text("date,cases\n" + rows + "\n")
-        assert run_cli("eval", str(data_dir / "india.csv"), str(other), "--column", "cases") == 1
-        assert "overlapping" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert run_cli("eval", str(data_dir / "india.csv"), str(other), "--column", "cases",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "eval: no overlapping dates between the two files\n"
+        assert not out.exists()
 
     def test_hand_built_pair(self, tmp_path, capsys):
         actual = tmp_path / "a.csv"

@@ -253,7 +253,7 @@ def assert_cross_validates_like_reference(table, **kwargs):
         return [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in rows]
 
     assert exact(cv.table) == exact(rows)
-    assert cv.alpha.hex() == alpha.hex()
+    assert cv.tree.alpha.hex() == alpha.hex()
     # repr, as NaN != NaN: the trees of a non-finite response hold NaN
     assert repr(cv.tree.to_dict()) == repr(chosen.to_dict())
 
@@ -832,7 +832,7 @@ class TestCrossValidate:
         assert max(runs) > 1
         assert [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in split.table] == \
             [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in default.table]
-        assert split.alpha.hex() == default.alpha.hex()
+        assert split.tree.alpha.hex() == default.tree.alpha.hex()
         assert_same_tree(split.tree, default.tree)
 
     @pytest.mark.parametrize("folds", [5, 10])
@@ -870,7 +870,7 @@ class TestCrossValidate:
 
     def test_chosen_alpha_is_member_of_sequence(self, cfr_table):
         cv = cross_validate(cfr_table, minsplit=5, minbucket=1, folds=10, seed=0)
-        assert cv.alpha in [a for a, _, _, _ in cv.table]
+        assert cv.tree.alpha in [a for a, _, _, _ in cv.table]
 
     def test_cfr_variable_count(self, cfr_table):
         cv = cross_validate(cfr_table, minsplit=5, minbucket=1, folds=10, seed=0)

@@ -22,7 +22,10 @@ it lives in, in one process, and writes:
 - `errors/<name>.csv` and `errors/<name>.txt`: for each case of `ERRORS`, a
   copy of a file written above with one line changed, and the one-line
   stderr of the command that refuses it; the `eval_*_column` cases hold
-  only the stderr of `eval --column` with a blank name. These commands run
+  only the stderr of `eval --column` with a blank name,
+  `fetch_unknown_dataset` that of `fetch atlantis`, and
+  `eval_disjoint_dates` that of `eval` of the `long` forecast against
+  `india.csv`, whose 2020 dates it does not reach. These commands run
   in OUT and are given paths relative to it, so that the messages, which
   name the file, compare across checkouts.
 """
@@ -108,6 +111,8 @@ def malformed_inputs(out: Path) -> None:
             refused(name, command, *(["series/long_full.csv"] if command == "eval" else []), path)
         for name, column in (("eval_empty_column", ""), ("eval_blank_column", "  ")):
             refused(name, "eval", "series/long_full.csv", FORECAST, "--column", column)
+        refused("fetch_unknown_dataset", "fetch", "atlantis")
+        refused("eval_disjoint_dates", "eval", SERIES, FORECAST)
 
 
 def main() -> None:
