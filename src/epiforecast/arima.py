@@ -193,31 +193,6 @@ def _stability_violation(coeffs) -> float:
     return 0.0
 
 
-def _ar_terms(w: np.ndarray, p: int, use_intercept: bool, start: int):
-    """The stacked AR step's operands for w from column `start` on: (coef, rows, where, out).
-
-    `rows` stacks w, a row of ones if `use_intercept`, and w lagged by 1..p;
-    `where` is False where a lag reaches back before t = 0 (True if nowhere).
-    With coef[1:, 0] = ([intercept], phi), `np.multiply(coef, rows, out,
-    where=where)` and then `np.subtract.reduce(out)` subtract one term at a
-    time, left to right. Masked entries of `out` stay +0.0, and subtracting
-    +0.0 changes nothing, not even the sign of a zero.
-    """
-    first_lag = 1 + int(use_intercept)
-    rows = np.zeros((first_lag + p, len(w)))
-    where = np.ones(rows.shape, dtype=bool)
-    rows[0] = w
-    rows[1:first_lag] = 1.0
-    for i in range(1, p + 1):
-        rows[first_lag + i - 1, i:] = w[:-i]
-        where[first_lag + i - 1, :i] = False
-    rows = rows[:, start:].copy()
-    where = where[:, start:].copy()
-    if where.all():
-        where = True
-    return np.ones((len(rows), 1)), rows, where, np.zeros(rows.shape)
-
-
 def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     """Conditional residual recursion with zero pre-sample values."""
     u = w - intercept
@@ -228,67 +203,37 @@ def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
     return u
 
 
-# The AR step's form is chosen by series length. The stacked step makes one
-# masked multiply by a coefficient column and one reduction for any p; the
-# per-lag step makes p multiplies by a scalar, each cheaper per element but
-# dearer per call. Both subtract the same terms in the same order. One
-# objective evaluation with an intercept, µs, stacked / per-lag (best of 12
-# interleaved rounds, one process; Python 3.11, numpy 2.4, 2 CPUs):
-#
-#   n        54            200           400           990
-#   p1 q0    4.88 / 3.81   5.38 / 3.90   5.83 / 4.08   8.08 / 4.60
-#   p3 q2    8.96 / 9.74  10.73 / 10.60 12.96 / 11.00 20.39 / 16.08
-#   p5 q0    5.30 / 8.22   6.22 / 8.72   7.84 / 8.58  14.12 / 11.13
-#   p5 q5    9.62 / 12.28 12.79 / 14.01 15.59 / 15.36 27.01 / 22.38
-#
-# The crossover moves from below 54 (p = 1) to about 200 (p = 3) and 400-990
-# (p = 5). Taking the per-lag step for p = 1 at any length as well saved
-# only 0-4% of the fitting time on the bundled India and South Korea series
-# (`tools/ab_cells.py`), so the length alone decides.
-_PER_LAG_MIN_N = 400
-
-
-def _objective_for(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int) -> tuple:
+def _objective_for(w: np.ndarray, p: int, q: int, n_cond: int) -> tuple:
     """The args of `_objective` for one (p, q) cell, built once per fit: the
-    stacked AR step's terms below `_PER_LAG_MIN_N` values, the per-lag
-    step's views from there on.
+    residual buffer `out` and, for each lag i, the pair (view of `out`, w
+    lagged by i) that the AR step updates.
 
     Without an MA part only the scored residuals, from `n_cond` on, are
     computed; an MA filter needs them all and drops the first `n_cond`.
     """
     start = 0 if q else n_cond
     n = len(w)
-    if n >= _PER_LAG_MIN_N:
-        out = np.empty(n - start)
-        lags = [(out[max(i - start, 0):], w[max(start - i, 0) : n - i]) for i in range(1, p + 1)]
-        return p, q, n_cond - start, w[start:], lags, None, None, None, out
-    ar = _ar_terms(w, p, use_intercept, start) if p else (None,) * 4
-    return p, q, n_cond - start, w[start:], None, *ar
+    out = np.empty(n - start)
+    lags = [(out[max(i - start, 0):], w[max(start - i, 0) : n - i]) for i in range(1, p + 1)]
+    return p, q, n_cond - start, w[start:], lags, out
 
 
-def _objective(params: list, p: int, q: int, skip: int, w, lags, coef, rows, where, out) -> float:
+def _objective(params: list, p: int, q: int, skip: int, w, lags, out) -> float:
     """log CSS at `params` = ([intercept], phi_1..phi_p, theta_1..theta_q),
     plus a barrier outside the invertible, stationary region; the rest are
     the args `_objective_for` builds.
 
-    With `lags`, `out` = w - intercept, then phi_i times each pair's lagged
-    w is subtracted from its view of `out`; without, one masked multiply of
-    the stacked terms and one reduction. Both subtract the same terms in
-    the same order."""
+    The AR step writes w - intercept into `out`, then subtracts phi_i times
+    each pair's lagged w from its view of `out`, lag by lag."""
     k = len(params) - q
     violation = 0.0
     if p:
         phi = params[k - p : k]
         if not sum(map(abs, phi)) <= 0.99:
             violation = _stability_violation(phi)
-        if lags:
-            eps = np.subtract(w, params[0] if k > p else 0.0, out)
-            for c, (head, lagged) in zip(phi, lags):
-                head -= c * lagged
-        else:
-            coef[1:, 0] = params[:k]
-            np.multiply(coef, rows, out, where=where)
-            eps = np.subtract.reduce(out)
+        eps = np.subtract(w, params[0] if k > p else 0.0, out)
+        for c, (head, lagged) in zip(phi, lags):
+            head -= c * lagged
     else:
         # no AR term: w - intercept, or w itself, which the MA filter only reads
         eps = w - params[0] if k else w
@@ -418,7 +363,7 @@ def _estimate(w: np.ndarray, p: int, q: int, use_intercept: bool, n_cond: int):
         intercept = float(w[0]) if use_intercept else 0.0
         return np.zeros(p), np.zeros(q), intercept
 
-    args = _objective_for(w, p, q, use_intercept, n_cond)
+    args = _objective_for(w, p, q, n_cond)
     budget = 150 + 100 * nparams
     # probe points far outside the stationary region overflow the residual
     # recursion; the objective is meant to be inf or nan there

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime as dt
 import io
 import json
 import os
@@ -43,7 +44,7 @@ _CONFIG_KEYS = {"horizon": positive_int, "minsplit": int, "folds": int,
                 "seed": non_negative_int, "out": directory}
 
 
-def load_config_file(path, command: str | None = None, flags=frozenset(_CONFIG_KEYS)) -> dict:
+def load_config_file(path, command: str, flags) -> dict:
     """Flat key=value text, read by `read_text`; '#' starts a comment.
     Unknown or repeated keys, and keys `command` has no flag for, are rejected."""
     values = {}
@@ -110,6 +111,8 @@ def cmd_forecast(args) -> None:
     path = Path(args.input)
     stem = os.fsencode(path.stem).decode("utf-8", "surrogateescape")  # UTF-8, as _publish writes
     s = load_series_csv(path)
+    if args.horizon > (dt.date.max - s.dates[-1]).days:
+        raise ValueError(f"{path}: --horizon {args.horizon} runs past {dt.date.max}")
 
     try:
         fit = hybrid.fit_hybrid(s)
@@ -120,7 +123,7 @@ def cmd_forecast(args) -> None:
         raise ValueError(f"{path}: {exc}") from exc
     wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, args.horizon), 0.0)
 
-    horizon_dates = [s.dates[-1] + (i + 1) * (s.dates[-1] - s.dates[-2]) for i in range(args.horizon)]
+    horizon_dates = [s.dates[-1] + dt.timedelta(days=i + 1) for i in range(args.horizon)]
 
     def dated_rows(*columns):
         return ([day.isoformat(), *(repr(float(v)) for v in values)]

@@ -97,13 +97,17 @@ class RegressionTree:
     right: list[int]  # each split's right child; its left child is the next node
     mean: list[float]
     sse: list[float]
-    improvement: list[float]  # each split's SSE reduction, 0 at a grown leaf
     rows: list[np.ndarray]  # each node's rows of `table`
     gone: list[float]  # the step alpha at which each node stops being internal
     table: Table
     minsplit: int
     minbucket: int
     alpha: float
+
+    def improvement(self, i: int) -> float:
+        """The SSE reduction of the split at internal node `i`: its SSE less
+        its children's, the floats `_best_splits` subtracts, in its order."""
+        return self.sse[i] - self.sse[i + 1] - self.sse[self.right[i]]
 
     def is_leaf(self, i: int) -> bool:
         return self.rule[i] is None or self.gone[i] <= self.alpha
@@ -174,7 +178,7 @@ class RegressionTree:
             if not self.is_leaf(i):
                 rule = self.rule[i]
                 out.update(split=rule.describe(names), variable=names[rule.var],
-                           improvement=self.improvement[i],
+                           improvement=self.improvement(i),
                            left=built.pop(i + 1), right=built.pop(self.right[i]))
             built[i] = out
         return {"minsplit": self.minsplit, "minbucket": self.minbucket,
@@ -425,10 +429,9 @@ def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> 
             found = _best_splits(table, [node for _, node in run], minbucket)
             for (i, (rows, *_)), split in zip(run, found):
                 if split is not None:
-                    rule, reduction, mask, left, right = split
+                    rule, _, mask, left, right = split
                     tree = grown[i][0]
-                    grown[i][4] = (rule, reduction,
-                                   add(tree, rows[mask], left), add(tree, rows[~mask], right))
+                    grown[i][4] = (rule, add(tree, rows[mask], left), add(tree, rows[~mask], right))
 
     trees = []
     for tree, root in enumerate(roots):
@@ -438,16 +441,15 @@ def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> 
             order.append(i)
             split = grown[i][4]
             if split is not None:
-                stack += (split[3], split[2])
+                stack += (split[2], split[1])
         place = {i: k for k, i in enumerate(order)}
         local = np.zeros(table.n, dtype=int)  # the tree numbers its rows as its subset does
         local[root] = np.arange(len(root))
         _, rows, mean, sse, splits = map(list, zip(*(grown[i] for i in order)))
         rule = [split[0] if split else None for split in splits]
-        right = [place[split[3]] if split else 0 for split in splits]
+        right = [place[split[2]] if split else 0 for split in splits]
         trees.append(RegressionTree(
-            rule, right, mean, sse, [split[1] if split else 0.0 for split in splits],
-            [local[r] for r in rows], _weakest_links(rule, right, sse),
+            rule, right, mean, sse, [local[r] for r in rows], _weakest_links(rule, right, sse),
             table.subset(root), minsplit, minbucket, -math.inf))
     return trees
 
@@ -620,7 +622,7 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
     table = tree.table
     scores = np.zeros(table.n_vars)
     for i in tree.internal_nodes():
-        rule, rows, improvement = tree.rule[i], tree.rows[i], tree.improvement[i]
+        rule, rows, improvement = tree.rule[i], tree.rows[i], tree.improvement(i)
         scores[rule.var] += improvement
         went_left = rule.mask(table.x[rows, rule.var])
         n_node = len(rows)

@@ -288,9 +288,8 @@ class TestSimplexParity:
         assert _bits(_package_estimate(*args)) == _bits(_ref_estimate(*args))
 
     @pytest.mark.parametrize("p, q", [(1, 0), (3, 2), (5, 1)])
-    def test_per_lag_cells(self, p, q):
-        # at the length threshold, where `_estimate` takes the per-lag AR step
-        w = sim_ar1(3, n=arima._PER_LAG_MIN_N, phi=0.5) + sim_ma1(4, n=arima._PER_LAG_MIN_N)
+    def test_long_series_cells(self, p, q):
+        w = sim_ar1(3, n=400, phi=0.5) + sim_ma1(4, n=400)
         args = (w, p, q, True, arima.MAX_P)
         assert _bits(_package_estimate(*args)) == _bits(_ref_estimate(*args))
 
@@ -301,7 +300,7 @@ class TestSimplexParity:
         for maxiter in (12, 550):  # exhausted, then converged
             ref = _ref_minimize(x0, args, maxiter)
             x, fun, success = arima._nelder_mead(
-                arima._objective, x0, arima._objective_for(*args), maxiter)
+                arima._objective, x0, arima._objective_for(w, 2, 1, 5), maxiter)
             assert x.tobytes() == ref.x.tobytes()
             assert float(fun).hex() == float(ref.fun).hex()
             assert success == ref.success == (maxiter == 550)
@@ -357,10 +356,7 @@ class TestSimplexParity:
                 assert got.tobytes() == expected.tobytes(), (len(w), phi, theta, intercept)
 
     def test_objective_matches_reference(self):
-        # both AR step forms: the stacked one below the length threshold, the
-        # per-lag one from it on
-        threshold = arima._PER_LAG_MIN_N
-        lengths = (20, 64, threshold - 1, threshold, 990)
+        lengths = (20, 64, 399, 400, 990)
         rng = np.random.default_rng(8)
         with np.errstate(all="ignore"):
             for w, phi, theta, intercept in self._random_cases(rng, 600, lengths):
@@ -369,9 +365,10 @@ class TestSimplexParity:
                 params = np.concatenate([[intercept] if use_intercept else [], phi, theta])
                 if len(params) == 0:
                     continue
-                args = (w, p, q, use_intercept, int(rng.integers(p, p + 3)))
+                n_cond = int(rng.integers(p, p + 3))
+                args = (w, p, q, use_intercept, n_cond)
                 expected = _ref_objective(params, *args)
-                got = arima._objective(params.tolist(), *arima._objective_for(*args))
+                got = arima._objective(params.tolist(), *arima._objective_for(w, p, q, n_cond))
                 assert float(got).hex() == float(expected).hex(), (args[1:], params)
 
     @pytest.mark.parametrize("name", ["plateaus", "non_finite", "late_ties", "late_nan"])

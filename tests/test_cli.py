@@ -6,7 +6,6 @@ import datetime as dt
 import gc
 import json
 import math
-import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -25,9 +24,8 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def write_series(path, counts):
-    """A `date,cases` CSV of daily counts from 2020-03-01."""
-    start = dt.date(2020, 3, 1)
+def write_series(path, counts, start=dt.date(2020, 3, 1)):
+    """A `date,cases` CSV of daily counts from `start`."""
     path.write_text("date,cases\n" + "".join(
         f"{start + dt.timedelta(days=i)},{c}\n" for i, c in enumerate(counts)))
     return path
@@ -221,13 +219,36 @@ class TestForecast:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["transform = none", "max_p = 2", "max_q = 2"])
-    def test_removed_config_keys_rejected(self, tmp_path, line):
+    def test_removed_config_keys_rejected(self, tmp_path, data_dir, monkeypatch, capsys, line):
         # these keys were once accepted and then ignored
+        monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
         config = tmp_path / "old.cfg"
         config.write_text("horizon = 4\n" + line + "\n")
         key = line.split(" ")[0]
-        with pytest.raises(ValueError, match=f"^{re.escape(str(config))}:2: unknown option '{key}'$"):
-            cli.load_config_file(config)
+        assert run_cli("forecast", str(data_dir / "india.csv"), "--config", str(config)) == 1
+        assert capsys.readouterr().err == f"forecast: {config}:2: unknown option '{key}'\n"
+
+    @pytest.mark.parametrize("last, flags", [(dt.date.max, []),
+                                             (dt.date.max - dt.timedelta(days=10), ["--horizon", "11"])])
+    def test_horizon_past_the_last_date_rejected_before_fitting(
+            self, tmp_path, monkeypatch, capsys, last, flags):
+        monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
+        path = write_series(tmp_path / "late.csv", [5 + 3 * i for i in range(30)],
+                            start=last - dt.timedelta(days=29))
+        out = tmp_path / "o"
+        assert run_cli("forecast", str(path), *flags, "--out", str(out)) == 1
+        horizon = flags[1] if flags else "10"
+        assert capsys.readouterr().err == f"forecast: {path}: --horizon {horizon} runs past 9999-12-31\n"
+        assert not out.exists()
+
+    def test_horizon_up_to_the_last_date(self, tmp_path):
+        last = dt.date.max - dt.timedelta(days=3)
+        path = write_series(tmp_path / "late.csv", [5 + 3 * i for i in range(30)],
+                            start=last - dt.timedelta(days=29))
+        out = tmp_path / "o"
+        assert run_cli("forecast", str(path), "--horizon", "3", "--out", str(out)) == 0
+        rows = read_csv(out / "late_forecast.csv")
+        assert [row["date"] for row in rows] == ["9999-12-29", "9999-12-30", "9999-12-31"]
 
     def test_malformed_input_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

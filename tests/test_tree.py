@@ -172,7 +172,7 @@ def reference_prune_sequence(fitted):
             rule = fitted.rule[i]
             out["split"] = rule.describe(names)
             out["variable"] = names[rule.var]
-            out["improvement"] = fitted.improvement[i]
+            out["improvement"] = fitted.improvement(i)
             out["left"] = node_dict(i + 1)
             out["right"] = node_dict(fitted.right[i])
         return out
@@ -328,13 +328,13 @@ def oracle_route(fitted, row):
 
 
 def assert_same_nodes(a, b):
-    """Node for node: rows, mean, SSE, rule, improvement and right child,
-    bit for bit."""
+    """Node for node: rows, mean, SSE, rule and right child, bit for bit;
+    SSE and right children fix each split's improvement."""
     assert len(a.rule) == len(b.rule)
     for i in range(len(a.rule)):
         assert a.rows[i].tolist() == b.rows[i].tolist()
-        assert (a.mean[i].hex(), a.sse[i].hex(), a.rule[i], a.improvement[i].hex(), a.right[i]) == \
-            (b.mean[i].hex(), b.sse[i].hex(), b.rule[i], b.improvement[i].hex(), b.right[i])
+        assert (a.mean[i].hex(), a.sse[i].hex(), a.rule[i], a.right[i]) == \
+            (b.mean[i].hex(), b.sse[i].hex(), b.rule[i], b.right[i])
 
 
 def assert_same_tree(a, b):
@@ -669,7 +669,7 @@ class TestPrune:
         rule, right, sse = [SplitRule(var=0, threshold=1.5), None, None], [2, 0, 0], [0.0] * 3
         tbl = table_from_arrays(np.arange(4.0)[:, None], y)
         fitted = tree.RegressionTree(
-            rule=rule, right=right, mean=[1.0] * 3, sse=sse, improvement=[0.0] * 3,
+            rule=rule, right=right, mean=[1.0] * 3, sse=sse,
             rows=[rows, rows[:2], rows[2:]], gone=tree._weakest_links(rule, right, sse),
             table=tbl, minsplit=2, minbucket=1, alpha=-math.inf)
         sequence = prune_sequence(fitted)
