@@ -161,6 +161,8 @@ def cmd_risktree(args) -> None:
     from . import datasets, metrics, svgplot, tree
 
     table = datasets.load_cfr_csv(args.input)
+    if args.folds > table.n:
+        raise ValueError(f"{args.input}: --folds {args.folds} needs at least {args.folds} rows, got {table.n}")
     cv = tree.cross_validate(table, minsplit=args.minsplit, folds=args.folds, seed=args.seed)
     fitted = cv.tree
     preds = fitted.predict(table.x)

@@ -243,6 +243,47 @@ def _numeric_cuts(block: np.ndarray, sizes: np.ndarray):
     return order, node, col, thresholds, n_left
 
 
+def _pad(table: Table, rows: tuple, weights: tuple) -> tuple:
+    """Nodes' `rows` and per-row `weights` padded to the largest node's
+    count: the sizes, which slots hold a row, each slot's row and weight (0
+    in padding), and every numeric cut (`_numeric_cuts`) as its node,
+    variable, threshold, left count and the weights' sum left of it and over
+    its node, from one cumulative sum: bit for bit each node's own sums."""
+    sizes = np.array([len(r) for r in rows])
+    slots = np.arange(sizes.max()) < sizes[:, None]
+    at, w = np.zeros(slots.shape, dtype=int), np.zeros(slots.shape, dtype=weights[0].dtype)
+    at[slots], w[slots] = np.concatenate(rows), np.concatenate(weights)
+    numeric = np.array([var for var, kind in enumerate(table.kinds) if kind == NUMERIC], dtype=int)
+    block = table.x[:, numeric][at]
+    block[~slots] = np.nan
+    order, owner, col, thresholds, n_left = _numeric_cuts(block, sizes)
+    prefix = np.zeros((len(rows), slots.shape[1] + 1, len(numeric)), dtype=w.dtype)
+    np.cumsum(np.take_along_axis(w[:, :, None], order, axis=1), axis=1, out=prefix[:, 1:])
+    return sizes, slots, at, w, (owner, numeric[col], thresholds, n_left,
+                                 prefix[owner, n_left, col], prefix[owner, sizes[owner], col])
+
+
+def _subsets(table: Table, at: np.ndarray, slots: np.ndarray, w: np.ndarray):
+    """Per categorical variable of `_pad`ded nodes: the variable, and per
+    node every cut's left row count and sum of `w`, and which cuts the node
+    lists: the proper subsets of its own levels, in canonical order."""
+    for var, kind in enumerate(table.kinds):
+        if kind == CATEGORICAL:
+            values = table.x[at, var]
+            if np.isnan(values[slots]).any():  # each NaN would be a level of its own
+                raise ValueError(f"missing value (NaN) in column {table.names[var]!r}")
+            levels = np.array(sorted(set(values[slots].tolist())))
+            on = (values[:, None, :] == levels[:, None]) & slots[:, None, :]
+            per_level = np.count_nonzero(on, axis=2)
+            # each node's own levels first, in order: its lowest is pinned left
+            rank = np.argsort(per_level == 0, axis=1, kind="stable")
+            k = _subset_sums(np.take_along_axis(per_level, rank, axis=1))
+            sums = np.add.reduce(np.where(on, w[:, None, :], 0), axis=2)
+            proper = (1 << (np.count_nonzero(per_level, axis=1) - 1)) - 1
+            yield (var, k, _subset_sums(np.take_along_axis(sums, rank, axis=1)),
+                   np.arange(k.shape[1]) < proper[:, None])
+
+
 def _shortlist_margin(n, y_max, abs_sum, parent_sse):
     """Twice a bound on how far the approximate reduction of a cut and its
     brute-force reduction can each lie from the exact one, for nodes of `n`
@@ -280,67 +321,38 @@ def _best_splits(table: Table, nodes: list, minbucket: int) -> list:
     sends the node's rows left and `left` and `right` are the `_sse` of each
     side, or None when no admissible split reduces the node's SSE.
 
-    One pass serves every node: their rows are padded to the largest node's
-    count, each numeric column is sorted within each node, one cumulative
-    sum of the centred response along the padded axis gives every numeric
-    cut's sum (bit for bit each node's own prefix sums), and per-level sums
-    give every categorical cut's, enumerated in each node's own canonical
-    subset order. Those values only shortlist the cuts within
-    `_shortlist_margin` of each node's best; each shortlisted cut is then
-    scored exactly as brute force scores it, on its node's rows in their
-    original order, so the winner and its reduction are the brute-force
-    ones. Ties break toward the lowest variable index, then the lowest
-    threshold (numeric) or the canonical subset order (categorical).
+    One pass serves every node: `_pad` gives every numeric cut's sum of the
+    centred response and `_subsets` every categorical cut's. Those values
+    only shortlist the cuts within `_shortlist_margin` of each node's best;
+    each shortlisted cut is then scored exactly as brute force scores it, on
+    its node's rows in their original order, so the winner and its
+    reduction are the brute-force ones. Ties break toward the lowest
+    variable index, then the lowest threshold (numeric) or the canonical
+    subset order (categorical).
     """
-    sizes = np.array([len(rows) for rows, _, _, _ in nodes])
-    slots = np.arange(sizes.max()) < sizes[:, None]
-    at = np.zeros(slots.shape, dtype=int)
-    at[slots] = np.concatenate([rows for rows, _, _, _ in nodes])
-    ys, centred = np.zeros(slots.shape), np.zeros(slots.shape)
-    ys[slots] = np.concatenate([y for _, y, _, _ in nodes])
-    centred[slots] = np.concatenate([c for _, _, c, _ in nodes])
+    rows, _, centred, parent_sse = zip(*nodes)
+    sizes, slots, at, centred, (owner, var, thresholds, n_left, left, total) = \
+        _pad(table, rows, centred)
     totals = np.add.reduce(centred, axis=1)
-
-    numeric = np.array([var for var, kind in enumerate(table.kinds) if kind == NUMERIC], dtype=int)
-    block = table.x[:, numeric][at]
-    block[~slots] = np.nan
-    order, owner, col, thresholds, n_left = _numeric_cuts(block, sizes)
-    prefix = np.zeros((len(nodes), slots.shape[1] + 1, len(numeric)))
-    np.cumsum(np.take_along_axis(centred[:, :, None], order, axis=1), axis=1, out=prefix[:, 1:])
     n = sizes[owner]
-    approx, admissible = _approx(prefix[owner, n_left, col] - prefix[owner, n, col] * (n_left / n),
-                                 n_left, n, minbucket)
+    approx, admissible = _approx(left - total * (n_left / n), n_left, n, minbucket)
     best = np.full(len(nodes), -np.inf)
     np.maximum.at(best, owner[admissible], approx[admissible])
     categorical = []  # per variable: its approx and admissible cuts, by node and subset
-    for var, kind in enumerate(table.kinds):
-        if kind == CATEGORICAL:
-            values = table.x[at, var]
-            if np.isnan(values[slots]).any():  # each NaN would be a level of its own
-                raise ValueError(f"missing value (NaN) in column {table.names[var]!r}")
-            levels = np.array(sorted(set(values[slots].tolist())))
-            on = (values[:, None, :] == levels[:, None]) & slots[:, None, :]
-            per_level = np.count_nonzero(on, axis=2)
-            # each node's own levels first, in order: its lowest is pinned left
-            rank = np.argsort(per_level == 0, axis=1, kind="stable")
-            k = _subset_sums(np.take_along_axis(per_level, rank, axis=1))
-            sums = np.add.reduce(np.where(on, centred[:, None, :], 0.0), axis=2)
-            left = _subset_sums(np.take_along_axis(sums, rank, axis=1))
-            n = sizes[:, None]
-            subset_approx, subset_ok = _approx(left - totals[:, None] * (k / n), k, n, minbucket)
-            # a node lists the proper subsets of its own levels only
-            proper = (1 << (np.count_nonzero(per_level, axis=1) - 1)) - 1
-            subset_ok &= np.arange(k.shape[1]) < proper[:, None]
-            best = np.maximum(best, np.max(subset_approx, axis=1, where=subset_ok, initial=-np.inf))
-            categorical.append((var, subset_approx, subset_ok))
-    parent_sse = np.array([sse for _, _, _, sse in nodes])
+    for v, k, left, listed in _subsets(table, at, slots, centred):
+        n = sizes[:, None]
+        subset_approx, subset_ok = _approx(left - totals[:, None] * (k / n), k, n, minbucket)
+        subset_ok &= listed
+        best = np.maximum(best, np.max(subset_approx, axis=1, where=subset_ok, initial=-np.inf))
+        categorical.append((v, subset_approx, subset_ok))
+    y_max = np.max(np.abs(table.y[at]), axis=1, where=slots, initial=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        floor = best - _shortlist_margin(sizes, np.max(np.abs(ys), axis=1),
-                                         np.add.reduce(np.abs(centred), axis=1), parent_sse)
+        floor = best - _shortlist_margin(sizes, y_max, np.add.reduce(np.abs(centred), axis=1),
+                                         np.array(parent_sse))
     # non-finite data or overflow: no bound holds, so score every cut
     floor[~np.isfinite(floor)] = -np.inf
     kept = np.flatnonzero(admissible & ~(approx < floor[owner]))
-    shortlist = [(owner[kept], numeric[col[kept]], thresholds[kept])]
+    shortlist = [(owner[kept], var[kept], thresholds[kept])]
     for var, subset_approx, subset_ok in categorical:
         node, bits = np.nonzero(subset_ok & ~(subset_approx < floor[:, None]))
         shortlist.append((node, np.full(len(node), var), bits.astype(float)))
@@ -621,19 +633,21 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
     agreement-weighted surrogate credits, normalised to sum to 100."""
     table = tree.table
     scores = np.zeros(table.n_vars)
-    for i in tree.internal_nodes():
-        rule, rows, improvement = tree.rule[i], tree.rows[i], tree.improvement(i)
+    internal = tree.internal_nodes()
+    nodes = [(tree.rows[i], tree.rule[i].mask(table.x[tree.rows[i], tree.rule[i].var]))
+             for i in internal]
+    agreements = _best_surrogate_agreements(table, nodes).tolist() if nodes else []
+    for i, (_, went_left), agree in zip(internal, nodes, agreements):
+        rule, improvement = tree.rule[i], tree.improvement(i)
         scores[rule.var] += improvement
-        went_left = rule.mask(table.x[rows, rule.var])
-        n_node = len(rows)
+        n_node = len(went_left)
         majority = max(went_left.sum(), n_node - went_left.sum()) / n_node
         if majority >= 1.0:
             continue
         for var in range(table.n_vars):
             if var == rule.var:
                 continue
-            agree = _best_surrogate_agreement(table, rows, var, went_left)
-            adjusted = (agree - majority) / (1.0 - majority)
+            adjusted = (agree[var] - majority) / (1.0 - majority)
             if adjusted > 0:
                 scores[var] += improvement * adjusted
     total = scores.sum()
@@ -643,21 +657,22 @@ def variable_importance(tree: RegressionTree) -> dict[str, float]:
     return {name: 100.0 * s / total for name, s in ranked}
 
 
-def _best_surrogate_agreement(table: Table, rows: np.ndarray, var: int, went_left: np.ndarray) -> float:
-    """Highest share of the node's rows that one cut of `var` sends the same
-    way as the primary split, or the opposite way."""
-    n = len(rows)
-    col = table.x[rows, var]
-    if table.kinds[var] == NUMERIC:
-        order, _, _, _, n_left = _numeric_cuts(col[None, :, None], np.array([n]))
-        went_prefix = np.concatenate(([0], np.cumsum(went_left[order[0, :, 0]])))
-        # rows agreeing: primary-left rows on the cut's left side plus
-        # primary-right rows on its right side
-        agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]
-    else:
-        # each sorted level's row mask; a subset agrees on its levels'
-        # primary-left rows and on every primary-right row outside them
-        on = col == np.array(sorted(set(col.tolist())))[:, None]
-        agree = _subset_sums(on @ np.where(went_left, 1, -1)) + n - np.count_nonzero(went_left)
-    best = int(np.max(np.maximum(agree, n - agree), initial=0))
-    return best / n
+def _best_surrogate_agreements(table: Table, nodes: list) -> np.ndarray:
+    """Per node, given as (rows, went_left) of its primary split, and per
+    variable: the highest share of the node's rows that one cut of the
+    variable sends the same way as the primary split, or the opposite way
+    (0 without a cut). One exact pass serves every node, as in
+    `_best_splits`, with weights +1 on primary-left rows and -1 on the
+    others: a cut whose left side sums to s in a node of n rows summing to
+    t agrees on s + (n - t) / 2 rows."""
+    rows, went_left = zip(*nodes)
+    sizes, slots, at, w, (owner, var, _, _, left, total) = \
+        _pad(table, rows, [np.where(left, 1, -1) for left in went_left])
+    best = np.zeros((len(nodes), table.n_vars), dtype=int)
+    agree = left + (sizes[owner] - total) // 2
+    np.maximum.at(best, (owner, var), np.maximum(agree, sizes[owner] - agree))
+    spare = (sizes - np.add.reduce(w, axis=1))[:, None] // 2
+    for v, _, left, listed in _subsets(table, at, slots, w):
+        agree = left + spare
+        best[:, v] = np.max(np.maximum(agree, sizes[:, None] - agree), axis=1, where=listed, initial=0)
+    return best / sizes[:, None]

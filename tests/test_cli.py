@@ -633,6 +633,15 @@ class TestRisktree:
         assert not out.exists()
 
 
+    def test_table_smaller_than_folds_names_the_file(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("\n".join((data_dir / "cfr_countries.csv").read_text().splitlines()[:4]) + "\n")
+        out = tmp_path / "o"
+        assert run_cli("risktree", str(path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"risktree: {path}: --folds 10 needs at least 10 rows, got 3\n"
+        assert not out.exists()
+
+
 class TestEval:
     def test_identical_files_score_zero(self, tmp_path, data_dir, capsys):
         path = data_dir / "india.csv"

@@ -4,6 +4,7 @@ pruning, cross-validation behavior, importance and prediction."""
 import gc
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,57 @@ def oracle_surrogate_agreement(table, rows, var, went_left):
         agree = max((mask == went_left).sum(), (mask != went_left).sum()) / n
         best = max(best, agree)
     return float(best)
+
+
+def reference_surrogate_agreement(table, rows, var, went_left):
+    """Highest share of the node's rows that one cut of `var` sends the same
+    way as the primary split, or the opposite way: the per-(node, variable)
+    search `variable_importance` made before its batched pass, one column
+    sorted and cut per call."""
+    n = len(rows)
+    col = table.x[rows, var]
+    if table.kinds[var] == tree.NUMERIC:
+        order, _, _, _, n_left = tree._numeric_cuts(col[None, :, None], np.array([n]))
+        went_prefix = np.concatenate(([0], np.cumsum(went_left[order[0, :, 0]])))
+        agree = 2 * went_prefix[n_left] + n - n_left - went_prefix[-1]
+    else:
+        on = col == np.array(sorted(set(col.tolist())))[:, None]
+        agree = tree._subset_sums(on @ np.where(went_left, 1, -1)) + n - np.count_nonzero(went_left)
+    best = int(np.max(np.maximum(agree, n - agree), initial=0))
+    return best / n
+
+
+def reference_variable_importance(fitted):
+    """`variable_importance` with one surrogate search per (node, variable),
+    as it was computed before the batched pass."""
+    table = fitted.table
+    scores = np.zeros(table.n_vars)
+    for i in fitted.internal_nodes():
+        rule, rows, improvement = fitted.rule[i], fitted.rows[i], fitted.improvement(i)
+        scores[rule.var] += improvement
+        went_left = rule.mask(table.x[rows, rule.var])
+        n_node = len(rows)
+        majority = max(went_left.sum(), n_node - went_left.sum()) / n_node
+        if majority >= 1.0:
+            continue
+        for var in range(table.n_vars):
+            if var == rule.var:
+                continue
+            agree = reference_surrogate_agreement(table, rows, var, went_left)
+            adjusted = (agree - majority) / (1.0 - majority)
+            if adjusted > 0:
+                scores[var] += improvement * adjusted
+    total = scores.sum()
+    if total <= 0:
+        return {name: 0.0 for name in table.names}
+    ranked = sorted(zip(table.names, scores), key=lambda item: (-item[1], item[0]))
+    return {name: 100.0 * s / total for name, s in ranked}
+
+
+def assert_importance_like_reference(fitted):
+    """Same names, order and float bits as `reference_variable_importance`."""
+    got = [(name, float(v).hex()) for name, v in variable_importance(fitted).items()]
+    assert got == [(name, float(v).hex()) for name, v in reference_variable_importance(fitted).items()]
 
 
 def enumerate_pruned_subtrees(fitted, i=0):
@@ -510,9 +562,25 @@ class TestBestSplit:
             tbl = hard_table(rng)
             rows = random_rows(rng, tbl.n)
             went_left = rng.random(len(rows)) < rng.random()
+            got, = tree._best_surrogate_agreements(tbl, [(rows, went_left)])
             for var in range(tbl.n_vars):
-                got = tree._best_surrogate_agreement(tbl, rows, var, went_left)
-                assert got == oracle_surrogate_agreement(tbl, rows, var, went_left)
+                assert got[var] == oracle_surrogate_agreement(tbl, rows, var, went_left)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_one_surrogate_pass_over_many_nodes_matches_reference(self):
+        # nodes of mixed sizes from one table share a pass, as a tree's do
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            tbl = hard_table(rng)
+            nodes = []
+            for _ in range(int(rng.integers(1, 6))):
+                rows = random_rows(rng, tbl.n)
+                nodes.append((rows, rng.random(len(rows)) < rng.random()))
+            got = tree._best_surrogate_agreements(tbl, nodes)
+            assert got.shape == (len(nodes), tbl.n_vars)
+            for (rows, went_left), agreements in zip(nodes, got):
+                for var in range(tbl.n_vars):
+                    assert agreements[var] == oracle_surrogate_agreement(tbl, rows, var, went_left)
 
     def test_missing_categorical_value_rejected(self):
         # each NaN would be a level of its own: 14 levels and 8191 subsets
@@ -898,6 +966,30 @@ class TestImportance:
         fitted = grow(cfr_table, minsplit=5, minbucket=1)
         importance = variable_importance(fitted)
         assert sum(importance.values()) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("minsplit", [2, 5, 9])
+    def test_bit_identical_to_reference_on_cfr_trees(self, cfr_table, minsplit):
+        for seed in range(35):
+            chosen = cross_validate(cfr_table, minsplit=minsplit, seed=seed).tree
+            assert_importance_like_reference(chosen)
+            assert_importance_like_reference(replace(chosen, alpha=-math.inf))
+
+    @pytest.mark.parametrize("kind", [tree.NUMERIC, tree.CATEGORICAL])
+    def test_bit_identical_to_reference_on_random_tables(self, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n, n_vars = int(rng.integers(4, 41)), int(rng.integers(1, 5))
+            if kind == tree.NUMERIC:
+                x = np.round(rng.normal(size=(n, n_vars)), 1)
+            else:
+                x = rng.integers(0, int(rng.integers(2, 6)), (n, n_vars)).astype(float)
+            tbl = table_from_arrays(x, rng.normal(size=n), kinds=(kind,) * n_vars)
+            assert_importance_like_reference(grow(tbl, minsplit=int(rng.integers(2, 8)), minbucket=1))
+
+    def test_root_only_tree_matches_reference(self):
+        fitted = grow(table_from_arrays(np.arange(4.0)[:, None], np.full(4, 1.0)))
+        assert fitted.internal_nodes() == []
+        assert_importance_like_reference(fitted)
 
     def test_cfr_top7_set(self, cfr_table):
         cv = cross_validate(cfr_table, minsplit=5, minbucket=1, folds=10, seed=0)
