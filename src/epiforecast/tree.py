@@ -138,20 +138,25 @@ class RegressionTree:
     def used_variables(self) -> set[int]:
         return {self.rule[i].var for i in self.internal_nodes()}
 
-    def _reach(self, x: np.ndarray):
-        """Each node that a record of `x` reaches, parents before children,
-        with the indices of those records and the node's depth. A missing
-        value on a routed variable is an error."""
-        stack = [(0, np.arange(len(x)), 0)]
+    def _paths(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's path from the root to its leaf in this tree, as its
+        nodes' alphas (`gone`; -inf at a grown leaf and past the path's end)
+        and means, by depth: its leaf at an alpha is the first node whose
+        alpha is at most that. A missing routed value is an error."""
+        gone, mean, stack = [], [], [(0, np.arange(len(x)), 0)]
         while stack:
             i, rows, depth = stack.pop()
-            yield i, rows, depth
+            if depth == len(gone):
+                gone.append(np.full(len(x), -np.inf))
+                mean.append(np.zeros(len(x)))
+            gone[depth][rows] = -np.inf if self.rule[i] is None else self.gone[i]
+            mean[depth][rows] = self.mean[i]
             if not self.is_leaf(i):
-                rule = self.rule[i]
-                left = rule.mask(x[rows, rule.var])
+                left = self.rule[i].mask(x[rows, self.rule[i].var])
                 for child, reached in ((self.right[i], rows[~left]), (i + 1, rows[left])):
                     if len(reached):
                         stack.append((child, reached, depth + 1))
+        return np.column_stack(gone), np.column_stack(mean)
 
     def predict(self, x) -> np.ndarray:
         """Leaf means for one record or a matrix of records; a missing value
@@ -160,11 +165,8 @@ class RegressionTree:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.table.n_vars:
             raise ValueError(f"record must have {self.table.n_vars} values")
-        out = np.empty(len(x))
-        for i, rows, _ in self._reach(x):
-            if self.is_leaf(i):
-                out[rows] = self.mean[i]
-        return out
+        gone, mean = self._paths(x)
+        return mean[np.arange(len(x)), np.argmax(gone <= self.alpha, axis=1)]
 
     def leaf_signature(self) -> frozenset:
         """Partition of the training rows into leaves, for structural comparison."""
@@ -397,26 +399,6 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRul
     return None if found is None else found[:2]
 
 
-# A split-search pass pads every node to its largest node's rows; a level
-# whose padding would exceed twice its rows and this many cells is split
-_PASS_CELLS = 1 << 16
-
-
-def _passes(level: list) -> list[list]:
-    """The open nodes of a level, largest first, in runs that one
-    `_best_splits` pass each searches."""
-    runs, width, rows = [], 0, 0
-    for node in sorted(level, key=lambda node: -len(node[1][0])):
-        size = len(node[1][0])
-        if runs and (len(runs[-1]) + 1) * width <= max(2 * (rows + size), _PASS_CELLS):
-            runs[-1].append(node)
-            rows += size
-        else:
-            runs.append([node])
-            width, rows = size, size
-    return runs
-
-
 def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> list[RegressionTree]:
     """One tree on each row set of `roots`, all grown level by level: every
     open node of every tree at one depth goes through one split-search pass.
@@ -437,13 +419,12 @@ def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> 
         add(tree, root, _sse(table.y[root]))
     while level:
         searched, level = level, []
-        for run in _passes(searched):
-            found = _best_splits(table, [node for _, node in run], minbucket)
-            for (i, (rows, *_)), split in zip(run, found):
-                if split is not None:
-                    rule, _, mask, left, right = split
-                    tree = grown[i][0]
-                    grown[i][4] = (rule, add(tree, rows[mask], left), add(tree, rows[~mask], right))
+        found = _best_splits(table, [node for _, node in searched], minbucket)
+        for (i, (rows, *_)), split in zip(searched, found):
+            if split is not None:
+                rule, _, mask, left, right = split
+                tree = grown[i][0]
+                grown[i][4] = (rule, add(tree, rows[mask], left), add(tree, rows[~mask], right))
 
     trees = []
     for tree, root in enumerate(roots):
@@ -577,8 +558,10 @@ def cross_validate(
 ) -> CrossValidation:
     """Select the pruning level by k-fold cross-validation with the one-SE
     preference for smaller trees."""
-    if not 2 <= folds <= table.n:
-        raise ValueError(f"folds must be in 2..{table.n}, got {folds}")
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
+    if folds > table.n:
+        raise ValueError(f"{folds} folds need at least {folds} rows, got {table.n}")
     minsplit, minbucket = _controls(table, minsplit, minbucket)
     rng = np.random.default_rng(seed)
     assignment = np.empty(table.n, dtype=int)
@@ -601,16 +584,9 @@ def cross_validate(
     sq_errors = np.zeros((len(eval_alphas), table.n))
     for fold, fitted in enumerate(fold_trees):
         holdout = np.flatnonzero(assignment == fold)
-        reached = list(fitted._reach(table.x[holdout]))
-        # each holdout row's path through the fold tree: its nodes' alphas
-        # and means, by depth
-        path_gone = np.full((len(holdout), 1 + max(depth for *_, depth in reached)), -np.inf)
-        path_mean = np.zeros(path_gone.shape)
-        for i, rows, depth in reached:
-            path_gone[rows, depth] = fitted.gone[i]
-            path_mean[rows, depth] = fitted.mean[i]
+        path_gone, path_mean = fitted._paths(table.x[holdout])
         # a row's leaf in the fold tree pruned at an alpha is the first node
-        # on its path that is a leaf by then; every path ends in a grown leaf
+        # on its path that is a leaf by then, as in `predict`
         stop = np.argmax(path_gone <= at, axis=2)
         preds = path_mean[np.arange(len(holdout)), stop]
         sq_errors[:, holdout] = (table.y[holdout] - preds) ** 2

@@ -622,7 +622,7 @@ class TestRisktree:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--folds", "1", "folds must be in 2..50, got 1"),
+        ("--folds", "1", "folds must be at least 2, got 1"),
         ("--minsplit", "0", "minsplit (0) must be at least twice minbucket (1)"),
     ])
     def test_bad_tree_option_writes_nothing(self, tmp_path, data_dir, capsys, flag, value, message):
@@ -632,6 +632,14 @@ class TestRisktree:
         assert capsys.readouterr().err == f"risktree: {message}\n"
         assert not out.exists()
 
+
+    def test_one_row_table_with_one_fold_refused(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("\n".join((data_dir / "cfr_countries.csv").read_text().splitlines()[:2]) + "\n")
+        out = tmp_path / "o"
+        assert run_cli("risktree", str(path), "--folds", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "risktree: folds must be at least 2, got 1\n"
+        assert not out.exists()
 
     def test_table_smaller_than_folds_names_the_file(self, tmp_path, data_dir, capsys):
         path = tmp_path / "three.csv"

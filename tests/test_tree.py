@@ -363,10 +363,10 @@ def categorical_table(rng):
 
 
 def oracle_route(fitted, row):
-    """Leaf mean for one record in the grown tree `fitted`, routed one value
-    at a time as per-row `SplitRule.goes_left` calls did."""
+    """Leaf mean for one record in the tree `fitted`, grown or pruned,
+    routed one value at a time as per-row `SplitRule.goes_left` calls did."""
     i = 0
-    while fitted.rule[i] is not None:
+    while not fitted.is_leaf(i):
         rule = fitted.rule[i]
         value = row[rule.var]
         if math.isnan(value):
@@ -883,26 +883,6 @@ class TestCrossValidate:
                 assert fitted.table.y.tobytes() == sub.y.tobytes()
                 assert_same_tree(fitted, grow(sub, full.minsplit, full.minbucket))
 
-    def test_level_searched_in_several_passes_changes_nothing(self, cfr_table, monkeypatch):
-        default = cross_validate(cfr_table, seed=0)
-        runs = []  # per level: how many `_best_splits` passes search it
-        passes = tree._passes
-
-        def recording(level):
-            found = passes(level)
-            runs.append(len(found))
-            return found
-
-        monkeypatch.setattr(tree, "_passes", recording)
-        # a level whose padding would exceed twice its rows now takes several passes
-        monkeypatch.setattr(tree, "_PASS_CELLS", 1)
-        split = cross_validate(cfr_table, seed=0)
-        assert max(runs) > 1
-        assert [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in split.table] == \
-            [(a.hex(), leaves, err.hex(), se.hex()) for a, leaves, err, se in default.table]
-        assert split.tree.alpha.hex() == default.tree.alpha.hex()
-        assert_same_tree(split.tree, default.tree)
-
     @pytest.mark.parametrize("folds", [5, 10])
     @pytest.mark.parametrize("minsplit", [None, 9])
     def test_matches_pruned_fold_trees_on_cfr(self, cfr_table, minsplit, folds):
@@ -931,10 +911,16 @@ class TestCrossValidate:
             alphas = [a for a, _, _, _ in cv.table]
             assert any(math.isinf(a * b) for a, b in zip(alphas, alphas[1:]))
 
-    def test_fold_count_validated(self):
+    def test_fold_count_validated(self, cfr_table):
         tbl = table_from_arrays(np.arange(6.0)[:, None], np.arange(6.0))
-        with pytest.raises(ValueError, match="folds"):
+        with pytest.raises(ValueError, match="^7 folds need at least 7 rows, got 6$"):
             cross_validate(tbl, folds=7)
+        # a one-row table breaks each bound with its own message
+        one = cfr_table.subset(np.arange(1))
+        with pytest.raises(ValueError, match="^folds must be at least 2, got 1$"):
+            cross_validate(one, folds=1)
+        with pytest.raises(ValueError, match="^10 folds need at least 10 rows, got 1$"):
+            cross_validate(one)
 
     def test_chosen_alpha_is_member_of_sequence(self, cfr_table):
         cv = cross_validate(cfr_table, minsplit=5, minbucket=1, folds=10, seed=0)
@@ -1102,8 +1088,13 @@ class TestPredict:
             else rng.integers(-1, 6, 20).astype(float)
             for kind in kinds
         ])
-        # no split reads these columns, so a missing value there is no error
-        fresh[:, sorted({0, 1, 2} - fitted.used_variables())] = np.nan
-        for records in (x, fresh):
-            expected = [oracle_route(fitted, row) for row in records]
-            assert fitted.predict(records).tolist() == expected
+        # the grown tree and every pruned view route records only through
+        # their own splits: none reads the other columns, so a missing value
+        # there is no error, even where a split cut away below a view's
+        # leaves reads it
+        for view in (fitted, *(view for _, view in prune_sequence(fitted))):
+            for records in (x, fresh):
+                records = records.copy()
+                records[:, sorted({0, 1, 2} - view.used_variables())] = np.nan
+                expected = [oracle_route(view, row) for row in records]
+                assert view.predict(records).tolist() == expected

@@ -3,10 +3,12 @@
     python3 tools/ab_risktree.py CHECKOUT_A CHECKOUT_B TABLE.csv
 
 Runs `epiforecast risktree TABLE.csv --seed S` with each checkout's package
-for fold seeds 0-34, in several rounds, the side that goes first alternating
-by seed and round. Fails if a written file differs in one byte between the
-sides; prints each round's per-op median for both sides and their ratio B/A,
-where host drift mostly cancels.
+for fold seeds 0-34 and each option set that `tools/artifacts.py` writes: the
+defaults, `--minsplit 9`, `--minsplit 2` (the deepest trees) and `--folds 5`.
+It does so in several rounds, the side that goes first alternating by seed
+and round. Fails if a written file differs in one byte between the sides;
+prints, per round and option set, the per-op median for both sides and their
+ratio B/A, where host drift mostly cancels.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from pathlib import Path
 
 SEEDS = range(35)
 ROUNDS = 3
+OPTION_SETS = ((), ("--minsplit", "9"), ("--minsplit", "2"), ("--folds", "5"))
 
 
 def load(checkout: Path, name: str):
@@ -33,14 +36,15 @@ def load(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def timed(cli, table: Path, seed: int, out: Path) -> tuple[float, dict]:
+def timed(cli, table: Path, seed: int, options: tuple, out: Path) -> tuple[float, dict]:
     """(seconds, {file name: bytes}) of one `risktree` op written into `out`."""
+    argv = ["risktree", str(table), "--seed", str(seed), *options, "--out", str(out)]
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
-        status = cli.main(["risktree", str(table), "--seed", str(seed), "--out", str(out)])
+        status = cli.main(argv)
     seconds = time.perf_counter() - start
     if status:
-        sys.exit(f"risktree {table} --seed {seed} failed")
+        sys.exit(f"{' '.join(argv[:-2])} failed")
     return seconds, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
@@ -52,21 +56,23 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         outs = [Path(work) / "a", Path(work) / "b"]
         for side in (0, 1):  # warm both sides' imports and caches
-            timed(sides[side], table, 0, outs[side])
+            timed(sides[side], table, 0, (), outs[side])
         for r in range(ROUNDS):
-            times = ([], [])
-            for seed in SEEDS:
-                files = [None, None]
-                for side in ((0, 1) if (seed + r) % 2 == 0 else (1, 0)):
-                    seconds, files[side] = timed(sides[side], table, seed, outs[side])
-                    times[side].append(seconds)
-                if files[0] != files[1]:
-                    differ = sorted(n for n in {*files[0], *files[1]}
-                                    if files[0].get(n) != files[1].get(n))
-                    sys.exit(f"seed {seed}: {', '.join(differ)} differ")
-            med_a, med_b = (statistics.median(t) * 1e3 for t in times)
-            print(f"round {r + 1}: A {med_a:.2f} ms, B {med_b:.2f} ms per op, "
-                  f"B/A {med_b / med_a:.3f}; {len(SEEDS)} seeds, every file byte-identical")
+            for options in OPTION_SETS:
+                times = ([], [])
+                for seed in SEEDS:
+                    files = [None, None]
+                    for side in ((0, 1) if (seed + r) % 2 == 0 else (1, 0)):
+                        seconds, files[side] = timed(sides[side], table, seed, options, outs[side])
+                        times[side].append(seconds)
+                    if files[0] != files[1]:
+                        differ = sorted(n for n in {*files[0], *files[1]}
+                                        if files[0].get(n) != files[1].get(n))
+                        sys.exit(f"seed {seed} {' '.join(options)}: {', '.join(differ)} differ")
+                med_a, med_b = (statistics.median(t) * 1e3 for t in times)
+                print(f"round {r + 1} {' '.join(options) or 'defaults'}: A {med_a:.2f} ms, "
+                      f"B {med_b:.2f} ms per op, B/A {med_b / med_a:.3f}; "
+                      f"{len(SEEDS)} seeds, every file byte-identical")
 
 
 if __name__ == "__main__":
