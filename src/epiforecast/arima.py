@@ -193,55 +193,39 @@ def _stability_violation(coeffs) -> float:
     return 0.0
 
 
-def _css_residuals(w: np.ndarray, phi, theta, intercept: float) -> np.ndarray:
-    """Conditional residual recursion with zero pre-sample values."""
-    u = w - intercept
-    for i, c in enumerate(phi, 1):
-        u[i:] -= c * w[:-i]
-    if len(theta):
-        u = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), u, -1)
-    return u
-
-
 def _objective_for(w: np.ndarray, p: int, q: int, n_cond: int) -> tuple:
-    """The args of `_objective` for one (p, q) cell, built once per fit: the
-    residual buffer `out` and, for each lag i, the pair (view of `out`, w
-    lagged by i) that the AR step updates.
-
-    Without an MA part only the scored residuals, from `n_cond` on, are
-    computed; an MA filter needs them all and drops the first `n_cond`.
-    """
-    start = 0 if q else n_cond
+    """The args of `_objective` for one (p, q) cell, built once per fit: p, q,
+    `n_cond` and the cell (w, lags, out) that `_residuals` fills: a full-length
+    buffer `out` and, per lag i, the pair (`out[i:]`, w lagged by i)."""
     n = len(w)
-    out = np.empty(n - start)
-    lags = [(out[max(i - start, 0):], w[max(start - i, 0) : n - i]) for i in range(1, p + 1)]
-    return p, q, n_cond - start, w[start:], lags, out
+    out = np.empty(n)
+    return p, q, n_cond, (w, [(out[i:], w[: n - i]) for i in range(1, p + 1)], out)
 
 
-def _objective(params: list, p: int, q: int, skip: int, w, lags, out) -> float:
+def _residuals(phi, theta, intercept: float, cell: tuple) -> np.ndarray:
+    """Conditional residual recursion with zero pre-sample values in `cell`:
+    w - intercept, minus phi_i times w lagged by i lag by lag, MA-filtered."""
+    w, lags, out = cell
+    np.subtract(w, intercept, out)
+    for c, (head, lagged) in zip(phi, lags):
+        head -= c * lagged
+    if len(theta):
+        return _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), out, -1)
+    return out
+
+
+def _objective(params: list, p: int, q: int, skip: int, cell: tuple) -> float:
     """log CSS at `params` = ([intercept], phi_1..phi_p, theta_1..theta_q),
-    plus a barrier outside the invertible, stationary region; the rest are
-    the args `_objective_for` builds.
-
-    The AR step writes w - intercept into `out`, then subtracts phi_i times
-    each pair's lagged w from its view of `out`, lag by lag."""
+    scored from residual `skip` on, plus a barrier outside the invertible,
+    stationary region; the rest are the args `_objective_for` builds."""
     k = len(params) - q
+    phi, theta = params[k - p : k], params[k:]
     violation = 0.0
-    if p:
-        phi = params[k - p : k]
-        if not sum(map(abs, phi)) <= 0.99:
-            violation = _stability_violation(phi)
-        eps = np.subtract(w, params[0] if k > p else 0.0, out)
-        for c, (head, lagged) in zip(phi, lags):
-            head -= c * lagged
-    else:
-        # no AR term: w - intercept, or w itself, which the MA filter only reads
-        eps = w - params[0] if k else w
-    if q:
-        theta = params[k:]
-        if not sum(map(abs, theta)) <= 0.99:
-            violation += _stability_violation(theta)
-        eps = _linear_filter(_ONE, np.array([1.0, *map(neg, theta)]), eps, -1)[skip:]
+    if not sum(map(abs, phi)) <= 0.99:
+        violation = _stability_violation(phi)
+    if not sum(map(abs, theta)) <= 0.99:
+        violation += _stability_violation(theta)
+    eps = _residuals(phi, theta, params[0] if k > p else 0.0, cell)[skip:]
     sse = float(np.dot(eps, eps))
     if violation > 0.0:
         sse = sse * (1.0 + 100.0 * violation) + violation
@@ -423,7 +407,7 @@ def _fit_job(job, estimate) -> ArimaFit:
     w = diff_values(z, d)
     use_intercept = d == 0
     phi, theta, intercept = estimate(w, p, q, use_intercept, n_cond)
-    eps = _css_residuals(w, phi, theta, intercept)
+    eps = _residuals(phi, theta, intercept, _objective_for(w, p, q, n_cond)[3])
     m = len(w)
     n_eff = m - n_cond
     sse = float(np.dot(eps[n_cond:], eps[n_cond:]))

@@ -50,9 +50,12 @@ def r2(actual, predicted) -> float:
     """Coefficient of determination against the mean-of-actual baseline.
 
     Can be negative for fits worse than the constant mean; undefined (and
-    rejected) when the actual values are constant.
+    rejected) when the actual values are constant. Both are scaled exactly,
+    by one power of two, below 1 so that squared deviations cannot overflow.
     """
     a, p = _pair(actual, predicted)
+    k = np.frexp(max(np.abs(a).max(), np.abs(p).max()))[1]
+    a, p = np.ldexp(a, -k), np.ldexp(p, -k)
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
         raise ValueError("r2 undefined: actual values are constant")

@@ -84,7 +84,9 @@ class TransformSpec:
         values = np.asarray(values, dtype=float)
         if self.kind == "none":
             return values.copy()
-        return np.maximum(np.expm1(values), 0.0)
+        # past ~709.8 the level is inf; numpy's warning would reach stderr
+        with np.errstate(over="ignore"):
+            return np.maximum(np.expm1(values), 0.0)
 
 
 LOG_TRANSFORM = TransformSpec(kind="boxcox")

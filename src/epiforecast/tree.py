@@ -235,8 +235,10 @@ def _numeric_cuts(block: np.ndarray, sizes: np.ndarray):
     cuts = (lower != upper) & ~np.isnan(lower) & inside[:, :, None]
     node, col, pos = np.nonzero(cuts.transpose(0, 2, 1))
     below, above = lower[node, pos, col], upper[node, pos, col]
-    # midpoints at cuts only: between repeats of a huge value they overflow
-    thresholds = (below + above) / 2.0
+    # midpoints at cuts only, as repeats of a huge value would overflow; a sum
+    # past the largest double still does, to +-inf, which the loop below mends
+    with np.errstate(over="ignore"):
+        thresholds = (below + above) / 2.0
     n_left = pos + 1
     for i in np.flatnonzero(~((below < thresholds) & (thresholds <= above))):
         t = thresholds[i]

@@ -100,6 +100,8 @@ def wbf_fit(values) -> WbfFit:
     refits of the chosen orders as one batch of one-cell grids, on every CPU.
     """
     x = values_of(values)
+    if not np.isfinite(x).all():
+        raise ValueError("wavelet fit needs finite values")
     levels = decomposition_level(len(x))
     dec = modwt(x, levels)
     sub_series = [*dec.details, dec.smooth]

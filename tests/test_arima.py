@@ -352,8 +352,31 @@ class TestSimplexParity:
         with np.errstate(all="ignore"):
             for w, phi, theta, intercept in self._random_cases(rng, 600):
                 expected = _ref_css_residuals(w, phi, theta, intercept)
-                got = arima._css_residuals(w, phi, theta, intercept)
+                cell = arima._objective_for(w, len(phi), len(theta), 0)[3]
+                got = arima._residuals(phi, theta, intercept, cell)
                 assert got.tobytes() == expected.tobytes(), (len(w), phi, theta, intercept)
+
+    def test_fit_residuals_match_reference(self, country_series):
+        # every cell of India's log grid and of one `wbf_fit` sub-series
+        # grid, at the coefficients each fit chose
+        values = country_series["india"].values
+        detail = wavelet.modwt(values, wavelet.decomposition_level(len(values))).details[0]
+        top = wavelet.SUBSERIES_MAX_ORDER
+        jobs = [*arima._order_grid(values, LOG_TRANSFORM, arima.MAX_P, arima.MAX_Q, None),
+                *arima._order_grid(detail, NO_TRANSFORM, top, top, 0)]
+        assert len(jobs) == 36 + 16
+        for s, order, transform, n_cond in jobs:
+            fit = fit_arima(s, order, transform, n_condition=n_cond)
+            w = diff_values(transform.forward(s), order.d)
+            expected = _ref_css_residuals(w, fit.phi, fit.theta, fit.intercept)
+            assert fit.residuals.tobytes() == expected.tobytes(), (order, transform)
+
+    @pytest.mark.parametrize("p, q", [(2, 0), (0, 1), (1, 1)])
+    def test_fits_of_one_job_share_no_buffer(self, country_series, p, q):
+        values = country_series["india"].values
+        first, second = (fit_arima(values, ArimaOrder(p, 1, q), LOG_TRANSFORM) for _ in range(2))
+        assert first.residuals.tobytes() == second.residuals.tobytes()
+        assert not np.shares_memory(first.residuals, second.residuals)
 
     def test_objective_matches_reference(self):
         lengths = (20, 64, 399, 400, 990)

@@ -316,6 +316,19 @@ class TestForecast:
         assert capsys.readouterr().err == f"forecast: {path}: {error}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("counts", [
+        # the log-scale forecast runs past exp's range, so its level is inf
+        np.geomspace(1.0, 1e300, 30),
+        # so does the fitted level, which leaves stage 2 an infinite residual
+        np.arange(30) % 2 * 1e300,
+    ], ids=["growth", "alternating"])
+    def test_level_overflow_warns_nothing_before_the_refusal(self, tmp_path, capsys, counts):
+        path = write_series(tmp_path / "huge.csv", counts.tolist())
+        assert run_cli("forecast", str(path), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"forecast: {path}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_rejected(self, data_dir, monkeypatch, capsys):
         # the forecast draws nothing at random, so it has no seed to take
         monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)
@@ -649,6 +662,18 @@ class TestRisktree:
         assert capsys.readouterr().err == f"risktree: {path}: --folds 10 needs at least 10 rows, got 3\n"
         assert not out.exists()
 
+    def test_cut_midpoints_past_the_largest_double_warn_nothing(self, tmp_path, data_dir, capsys):
+        with open(data_dir / "cfr_countries.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("total_cases_thousands")
+        for i, row in enumerate(rows[1:]):
+            row[col] = repr(8.5e307 if i % 2 else 1.7e308)
+        path = tmp_path / "huge.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("risktree", str(path), "--out", str(tmp_path / "o")) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestEval:
     def test_identical_files_score_zero(self, tmp_path, data_dir, capsys):
@@ -685,6 +710,22 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"]["rmse"] == pytest.approx(np.sqrt(2.0 / 3.0))
         assert payload["metrics"]["mae"] == pytest.approx(2.0 / 3.0)
+
+    def test_huge_counts_score_as_strict_json(self, tmp_path, capsys):
+        # unscaled, the squared deviations overflow and r2 is NaN
+        actual = tmp_path / "a.csv"
+        actual.write_text("date,cases\n2020-03-01,1e200\n2020-03-02,3e200\n2020-03-03,2e200\n")
+        forecast = tmp_path / "f.csv"
+        forecast.write_text("date,hybrid\n2020-03-01,2e200\n2020-03-02,1e200\n2020-03-03,2e200\n")
+        assert run_cli("eval", str(actual), str(forecast)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(captured.out, parse_constant=refuse)
+        assert payload["metrics"]["r2"] == -1.5
 
     @pytest.mark.parametrize("column", [" hybrid ", "Hybrid ", "HYBRID"])
     def test_column_name_ignores_case_and_surrounding_spaces(self, tmp_path, capsys, column):

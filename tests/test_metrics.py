@@ -52,6 +52,17 @@ def test_constant_actual_r2_undefined():
         metrics.r2([2, 2, 2], [1, 2, 3])
 
 
+def test_r2_bit_identical_under_power_of_two_scaling():
+    # squared deviations of the unscaled values over- or underflow at the ends
+    rng = np.random.default_rng(0)
+    actual = rng.uniform(1.0, 100.0, 50)
+    predicted = actual * rng.uniform(0.8, 1.2, 50)
+    expected = metrics.r2(actual, predicted).hex()
+    for j in range(-1000, 1001, 25):
+        scaled = metrics.r2(np.ldexp(actual, j), np.ldexp(predicted, j))
+        assert scaled.hex() == expected, j
+
+
 def test_report_handles_undefined_r2():
     report = metrics.report([2, 2, 2], [1, 2, 3])
     assert report.r2 is None

@@ -109,6 +109,14 @@ class TestWbf:
         with pytest.raises(ValueError, match="at least 8"):
             wbf_fit(np.ones(5))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_series_rejected(self, bad):
+        # an infinite residual would decompose into NaN sub-series, with a warning
+        x = np.ones(30)
+        x[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wbf_fit(x)
+
     @pytest.mark.parametrize("x", [
         # chooses p = 3 on two sub-series, whose grid fits are kept as they are
         np.cumsum(np.random.default_rng(0).normal(size=40)) + 5 * np.sin(np.arange(40) / 2),

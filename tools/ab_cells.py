@@ -5,7 +5,8 @@
 Records the `arima._estimate` calls of `epiforecast forecast SERIES.csv` with
 CHECKOUT_A's package and replays them twice in both checkouts, grid-cell pool
 off, the side that goes first alternating by call. Fails if a result differs
-in one byte; prints each side's total per round, where host drift mostly cancels.
+in one byte; prints each side's total per round, where host drift mostly cancels,
+overall and by cell class: pure AR (q = 0, with (0, 0)), pure MA (p = 0) and ARMA.
 """
 
 import contextlib
@@ -58,6 +59,18 @@ def timed(arima, call) -> tuple[float, object]:
     return time.perf_counter() - start, bits
 
 
+CLASSES = ("pure AR", "pure MA", "ARMA")
+
+
+def cell_class(p: int, q: int) -> int:
+    """The index in CLASSES of a (p, q) cell."""
+    return 0 if q == 0 else 1 if p == 0 else 2
+
+
+def line(label: str, a: float, b: float) -> str:
+    return f"{label}: A {a:.3f} s, B {b:.3f} s, B/A {b / a:.3f}"
+
+
 def main() -> None:
     if len(sys.argv) != 4:
         sys.exit("usage: " + __doc__.splitlines()[2].strip())
@@ -66,17 +79,23 @@ def main() -> None:
     calls = record(arima_a, cli_a, series)
     sides = (arima_a, load(b, "_ab_side_b")[0])
     print(f"{series}: {len(calls)} _estimate calls")
+    counts = [0] * len(CLASSES)
+    for call in calls:
+        counts[cell_class(call[1], call[2])] += 1
     for r in range(2):
-        totals = [0.0, 0.0]
+        # per class, each side's total
+        totals = [[0.0, 0.0] for _ in CLASSES]
         for i, call in enumerate(calls):
             bits = [None, None]
             for side in ((0, 1) if (i + r) % 2 == 0 else (1, 0)):
                 seconds, bits[side] = timed(sides[side], call)
-                totals[side] += seconds
+                totals[cell_class(call[1], call[2])][side] += seconds
             if bits[0] != bits[1]:
                 sys.exit(f"call {i} (p={call[1]}, q={call[2]}, n={len(call[0])}) differs")
-        print(f"round {r + 1}: A {totals[0]:.3f} s, B {totals[1]:.3f} s, "
-              f"B/A {totals[1] / totals[0]:.3f}; every call byte-identical")
+        print(line(f"round {r + 1}", *map(sum, zip(*totals))) + "; every call byte-identical")
+        for name, count, (a, b) in zip(CLASSES, counts, totals):
+            if count:
+                print("  " + line(f"{name} ({count} calls)", a, b))
 
 
 if __name__ == "__main__":
