@@ -78,7 +78,12 @@ def _csv_text(rows) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The payload as indented JSON with sorted keys. JSON has no NaN or
+    Infinity, so a payload holding one is refused here, for every file."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("a value is not finite, and JSON has no NaN or Infinity") from None
 
 
 def _publish(args, files: dict) -> list[Path]:
@@ -130,9 +135,9 @@ def cmd_forecast(args) -> None:
                 for day, *values in zip(horizon_dates, *columns))
 
     train = {
-        "arima": metrics.report(s.values, fit.base_fitted).to_dict(),
-        "wbf": metrics.report(s.values, np.maximum(wbf_direct.fitted_values(), 0.0)).to_dict(),
-        "hybrid": metrics.report(s.values, fit.fitted_values).to_dict(),
+        "arima": metrics.report(s.values, fit.base_fitted),
+        "wbf": metrics.report(s.values, np.maximum(wbf_direct.fitted_values(), 0.0)),
+        "hybrid": metrics.report(s.values, fit.fitted_values),
     }
     nan_head = [float("nan")] * s.n
     plot = svgplot.line_chart(
@@ -167,8 +172,6 @@ def cmd_risktree(args) -> None:
     fitted = cv.tree
     preds = fitted.predict(table.x)
     k = len(fitted.used_variables())
-    report = metrics.report(table.y, preds, k=k)
-
     payload = fitted.to_dict()
     payload["cv"] = {
         "alpha": fitted.alpha,
@@ -179,8 +182,8 @@ def cmd_risktree(args) -> None:
             for a, nl, err, se in cv.table
         ],
     }
-    payload["metrics"] = report.to_dict()
-    if report.r2 is None:
+    payload["metrics"] = metrics.report(table.y, preds, k=k)
+    if payload["metrics"]["r2"] is None:
         payload["metrics"]["note"] = "r2 undefined: constant response"
     importance = tree.variable_importance(fitted)
     print(*_publish(args, {
@@ -209,9 +212,11 @@ def cmd_eval(args) -> None:
         raise ValueError("no overlapping dates between the two files")
     a = np.array([actual[d] for d in shared])
     p = np.array([predicted[d] for d in shared])
-    report = metrics.report(a, p)
-    text = _json_text({"n_dates": len(shared), "first": shared[0].isoformat(),
-                       "last": shared[-1].isoformat(), "metrics": report.to_dict()})
+    try:
+        text = _json_text({"n_dates": len(shared), "first": shared[0].isoformat(),
+                           "last": shared[-1].isoformat(), "metrics": metrics.report(a, p)})
+    except ValueError as exc:
+        raise ValueError(f"{args.forecast}: {exc}") from None
     print(text, end="")
     if args.out is not None:
         _publish(args, {"eval.json": text})

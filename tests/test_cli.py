@@ -727,6 +727,20 @@ class TestEval:
         payload = json.loads(captured.out, parse_constant=refuse)
         assert payload["metrics"]["r2"] == -1.5
 
+    def test_overflowing_errors_refused(self, tmp_path, capsys):
+        # |a - p| passes the largest double, so rmse and mae are Infinity: not JSON
+        actual = tmp_path / "a.csv"
+        actual.write_text("date,cases\n2020-03-01,1.7e308\n2020-03-02,1e308\n2020-03-03,0\n")
+        forecast = tmp_path / "f.csv"
+        forecast.write_text("date,hybrid\n2020-03-01,-1.7e308\n2020-03-02,1e308\n2020-03-03,5\n")
+        out = tmp_path / "o"
+        assert run_cli("eval", str(actual), str(forecast), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"eval: {forecast}: a value is not finite, "
+                                "and JSON has no NaN or Infinity\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("column", [" hybrid ", "Hybrid ", "HYBRID"])
     def test_column_name_ignores_case_and_surrounding_spaces(self, tmp_path, capsys, column):
         actual = tmp_path / "a.csv"

@@ -40,6 +40,9 @@ def test_adj_r2_formula():
     adjusted = metrics.adj_r2(actual, predicted, k=2)
     assert adjusted == pytest.approx(1 - (1 - plain) * 5 / 3)
     assert adjusted <= plain
+    for k in (0, 5):  # no predictor to adjust for, and n <= k + 1
+        with pytest.raises(ValueError, match="1 <= k < n-1"):
+            metrics.adj_r2(actual, predicted, k=k)
 
 
 def test_length_mismatch_rejected():
@@ -65,8 +68,38 @@ def test_r2_bit_identical_under_power_of_two_scaling():
 
 def test_report_handles_undefined_r2():
     report = metrics.report([2, 2, 2], [1, 2, 3])
-    assert report.r2 is None
-    assert report.rmse > 0
+    assert report["r2"] is None
+    assert report["rmse"] > 0
+
+
+def hexed(value):
+    return None if value is None else value.hex()
+
+
+def undefined_as_none(score, *args):
+    try:
+        return score(*args)
+    except ValueError:
+        return None
+
+
+@given(pairs, st.sampled_from(["zero", "one", "n-1"]))
+@settings(max_examples=200, deadline=None)
+@example(([0.0, 482185.02837372245, 0.0], [482185.02837372245, 0.0, 482185.02837372245]), "one")
+@example(([0.0, 0.0], [1e6, 999999.9999999999]), "one")
+@example(([3.0, 3.0, 3.0, 3.0], [1.0, 2.0, 4.0, 8.0]), "one")
+def test_report_matches_each_score(pair, which):
+    # the one-pass report gives, bit for bit, what each score gives alone
+    actual, predicted = pair
+    n = len(actual)
+    k = {"zero": 0, "one": 1, "n-1": n - 1}[which]
+    adj = undefined_as_none(metrics.adj_r2, actual, predicted, k) if 1 <= k < n - 1 else None
+    expected = {"rmse": metrics.rmse(actual, predicted), "mae": metrics.mae(actual, predicted),
+                "r2": undefined_as_none(metrics.r2, actual, predicted), "adj_r2": adj}
+    report = metrics.report(actual, predicted, k)
+    assert {name: hexed(report[name]) for name in expected} == \
+        {name: hexed(value) for name, value in expected.items()}
+    assert (report["n"], report["k"]) == (n, k)
 
 
 @given(pairs)

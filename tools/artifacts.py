@@ -25,7 +25,11 @@ it lives in, in one process, and writes:
   only the stderr of `eval --column` with a blank name,
   `fetch_unknown_dataset` that of `fetch atlantis`, and
   `eval_disjoint_dates` that of `eval` of the `long` forecast against
-  `india.csv`, whose 2020 dates it does not reach. These commands run
+  `india.csv`, whose 2020 dates it does not reach;
+- `errors/eval_overflowing_errors_actual.csv`,
+  `errors/eval_overflowing_errors.csv` and `.txt`: three dates whose
+  errors pass the largest double, and the stderr of `eval` refusing the
+  rmse and mae that are then Infinity. These commands run
   in OUT and are given paths relative to it, so that the messages, which
   name the file, compare across checkouts.
 """
@@ -113,6 +117,11 @@ def malformed_inputs(out: Path) -> None:
             refused(name, "eval", "series/long_full.csv", FORECAST, "--column", column)
         refused("fetch_unknown_dataset", "fetch", "atlantis")
         refused("eval_disjoint_dates", "eval", SERIES, FORECAST)
+        actual = Path("errors/eval_overflowing_errors_actual.csv")
+        forecast = Path("errors/eval_overflowing_errors.csv")
+        actual.write_text("date,cases\n2020-03-01,1.7e308\n2020-03-02,1e308\n2020-03-03,0\n")
+        forecast.write_text("date,hybrid\n2020-03-01,-1.7e308\n2020-03-02,1e308\n2020-03-03,5\n")
+        refused("eval_overflowing_errors", "eval", actual, forecast)
 
 
 def main() -> None:
