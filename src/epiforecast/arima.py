@@ -119,20 +119,12 @@ class ArimaFit:
         return diff_values(self.transformed, self.order.d)
 
     def fitted_transformed(self) -> np.ndarray:
-        """One-step in-sample predictions on the transformed (undifferenced) scale.
-
-        The first d points have no prediction and are carried over from the
-        data, so actual - fitted is exactly zero there.
-        """
-        d = self.order.d
-        if d == 0:
-            return self.fitted
-        z = self.transformed
-        n = len(z)
-        out = z.copy()
-        # z_t = w_t + sum_j c_j z_{t-j} with c_j = (-1)^(j+1) binom(d, j)
-        out[d:] = self.fitted + sum(math.comb(d, j) * (-1) ** (j + 1) * z[d - j : n - j]
-                                    for j in range(1, d + 1))
+        """One-step in-sample predictions on the transformed (undifferenced)
+        scale: the data less the one-step errors. The first d points have no
+        prediction and are carried over from the data, so actual - fitted is
+        exactly zero there."""
+        out = self.transformed.copy()
+        out[self.order.d:] -= self.residuals
         return out
 
     def fitted_level(self) -> np.ndarray:

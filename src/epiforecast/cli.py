@@ -121,14 +121,23 @@ def cmd_forecast(args) -> None:
 
     try:
         fit = hybrid.fit_hybrid(s)
-        parts = hybrid.forecast_components(fit, args.horizon)
         # standalone wavelet-domain model on the counts, for the comparison table
         wbf_direct = wavelet.wbf_fit(s.values)
     except (ValueError, arima.ConvergenceError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, args.horizon), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a forecast may overflow: checked below
+        parts = hybrid.forecast_components(fit, args.horizon)
+        final = parts.final
+        wbf_direct_fc = np.maximum(wavelet.wbf_forecast(wbf_direct, args.horizon), 0.0)
 
     horizon_dates = [s.dates[-1] + dt.timedelta(days=i + 1) for i in range(args.horizon)]
+    # (day, column) of each non-finite value that the two CSVs would write, earliest first
+    bad = np.argwhere(~np.isfinite([parts.base, parts.residual, final, wbf_direct_fc]).T)
+    if len(bad):
+        day, column = bad[0]
+        name = ("arima", "wbf_residual", "hybrid", "wbf")[column]
+        raise ValueError(f"{path}: --horizon {args.horizon}: the {name} forecast is not finite "
+                         f"from {horizon_dates[day]}")
 
     def dated_rows(*columns):
         return ([day.isoformat(), *(repr(float(v)) for v in values)]
@@ -143,7 +152,7 @@ def cmd_forecast(args) -> None:
     plot = svgplot.line_chart(
         [
             ("actual", list(s.values) + [float("nan")] * args.horizon),
-            ("hybrid fit", list(fit.fitted_values) + list(parts.final)),
+            ("hybrid fit", list(fit.fitted_values) + list(final)),
             ("arima", nan_head + list(parts.base)),
             ("wbf", nan_head + list(wbf_direct_fc)),
         ],
@@ -153,9 +162,9 @@ def cmd_forecast(args) -> None:
     )
     print(*_publish(args, {
         f"{stem}_forecast.csv": _csv_text([["date", "arima", "wbf_residual", "hybrid"],
-                                           *dated_rows(parts.base, parts.residual, parts.final)]),
+                                           *dated_rows(parts.base, parts.residual, final)]),
         f"{stem}_models.csv": _csv_text([["date", "arima", "wbf", "hybrid"],
-                                         *dated_rows(parts.base, wbf_direct_fc, parts.final)]),
+                                         *dated_rows(parts.base, wbf_direct_fc, final)]),
         f"{stem}_fit.json": _json_text({"series": stem, "n_obs": s.n, "horizon": args.horizon,
                                         "model": fit.to_dict(), "training_metrics": train}),
         f"{stem}_plot.svg": plot,

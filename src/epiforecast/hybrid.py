@@ -46,8 +46,14 @@ class HybridForecast:
 
     base: np.ndarray
     residual: np.ndarray
-    combined: np.ndarray
-    final: np.ndarray
+
+    @property
+    def combined(self) -> np.ndarray:
+        return self.base + self.residual
+
+    @property
+    def final(self) -> np.ndarray:
+        return np.maximum(self.combined, 0.0)
 
 
 def fit_hybrid(s: TimeSeries, *, order: arima.ArimaOrder | None = None) -> HybridFit:
@@ -77,17 +83,9 @@ def fit_hybrid(s: TimeSeries, *, order: arima.ArimaOrder | None = None) -> Hybri
 
 def forecast_components(fit: HybridFit, h: int) -> HybridForecast:
     base = arima.forecast_arima(fit.base, h)
-    if fit.residual_model is not None:
-        residual = wavelet.wbf_forecast(fit.residual_model, h)
-    else:
-        residual = np.zeros(h)
-    combined = base + residual
-    return HybridForecast(
-        base=base,
-        residual=residual,
-        combined=combined,
-        final=np.maximum(combined, 0.0),
-    )
+    if fit.residual_model is None:
+        return HybridForecast(base, np.zeros(h))
+    return HybridForecast(base, wavelet.wbf_forecast(fit.residual_model, h))
 
 
 def forecast_hybrid(fit: HybridFit, h: int) -> np.ndarray:

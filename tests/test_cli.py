@@ -329,6 +329,19 @@ class TestForecast:
         assert err.startswith(f"forecast: {path}: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
 
+    def test_horizon_whose_forecast_is_not_finite_refused(self, tmp_path, capsys):
+        # the direct WBF's detail models of doubling counts have roots inside
+        # the unit circle, so its forecast passes the largest double on day 997
+        path = write_series(tmp_path / "dbl.csv", [2 ** t for t in range(30)],
+                            start=dt.date(2020, 1, 1))
+        out = tmp_path / "o"
+        assert run_cli("forecast", str(path), "--horizon", "1000", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"forecast: {path}: --horizon 1000: "
+                                "the wbf forecast is not finite from 2022-10-23\n")
+        assert not out.exists()
+
     def test_seed_flag_rejected(self, data_dir, monkeypatch, capsys):
         # the forecast draws nothing at random, so it has no seed to take
         monkeypatch.setattr(hybrid, "fit_hybrid", _must_not_fit)

@@ -29,9 +29,13 @@ it lives in, in one process, and writes:
 - `errors/eval_overflowing_errors_actual.csv`,
   `errors/eval_overflowing_errors.csv` and `.txt`: three dates whose
   errors pass the largest double, and the stderr of `eval` refusing the
-  rmse and mae that are then Infinity. These commands run
-  in OUT and are given paths relative to it, so that the messages, which
-  name the file, compare across checkouts.
+  rmse and mae that are then Infinity;
+- `errors/forecast_horizon_not_finite.csv` and `.txt`: 30 days of counts
+  2^t, and the stderr of `forecast --horizon 1000` refusing the forecast
+  that passes the largest double; its `--out` must stay unwritten.
+
+These commands run in OUT and are given paths relative to it, so that the
+messages, which name the file, compare across checkouts.
 """
 
 from __future__ import annotations
@@ -122,6 +126,14 @@ def malformed_inputs(out: Path) -> None:
         actual.write_text("date,cases\n2020-03-01,1.7e308\n2020-03-02,1e308\n2020-03-03,0\n")
         forecast.write_text("date,hybrid\n2020-03-01,-1.7e308\n2020-03-02,1e308\n2020-03-03,5\n")
         refused("eval_overflowing_errors", "eval", actual, forecast)
+        doubling = Path("errors/forecast_horizon_not_finite.csv")
+        doubling.write_text("date,cases\n" + "".join(
+            f"{dt.date(2020, 1, 1) + dt.timedelta(days=t)},{2 ** t}\n" for t in range(30)))
+        unwritten = Path("errors/forecast_horizon_not_finite")
+        refused("forecast_horizon_not_finite", "forecast", doubling, "--horizon", 1000,
+                "--out", unwritten)
+        if unwritten.exists():
+            sys.exit(f"the refused forecast wrote {unwritten}")
 
 
 def main() -> None:
