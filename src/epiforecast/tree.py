@@ -404,43 +404,45 @@ def best_split(table: Table, rows: np.ndarray, minbucket: int) -> tuple[SplitRul
 def _grow_together(table: Table, roots: list, minsplit: int, minbucket: int) -> list[RegressionTree]:
     """One tree on each row set of `roots`, all grown level by level: every
     open node of every tree at one depth goes through one split-search pass.
-    Each tree reads `table.subset(root)` at -inf, and equals
-    `grow(table.subset(root), minsplit, minbucket)` node for node."""
-    grown = []  # per node: its tree, rows, mean, SSE and split
+    A subtree depends on its row set alone, so each distinct one is grown
+    once for every tree. Each tree reads `table.subset(root)` at -inf, and
+    equals `grow(table.subset(root), minsplit, minbucket)` node for node."""
+    grown = []  # per node: its rows, mean, SSE and split
     level = []  # the open nodes: (index in grown, (rows, y, centred, sse))
+    seen = {}  # each row set, as bytes of one integer dtype: its index in grown
 
-    def add(tree: int, rows: np.ndarray, stats: tuple) -> int:
-        mean, centred, sse = stats
-        grown.append([tree, rows, mean, sse, None])
-        y = table.y[rows]
-        if len(rows) >= minsplit and not _is_pure(y, sse):
-            level.append((len(grown) - 1, (rows, y, centred, sse)))
-        return len(grown) - 1
+    def add(rows: np.ndarray, stats: tuple) -> int:
+        i = seen.setdefault(rows.tobytes(), len(grown))
+        if i == len(grown):
+            mean, centred, sse = stats
+            grown.append([rows, mean, sse, None])
+            y = table.y[rows]
+            if len(rows) >= minsplit and not _is_pure(y, sse):
+                level.append((i, (rows, y, centred, sse)))
+        return i
 
-    for tree, root in enumerate(roots):
-        add(tree, root, _sse(table.y[root]))
+    starts = [add(root, _sse(table.y[root])) for root in roots]
     while level:
         searched, level = level, []
         found = _best_splits(table, [node for _, node in searched], minbucket)
         for (i, (rows, *_)), split in zip(searched, found):
             if split is not None:
                 rule, _, mask, left, right = split
-                tree = grown[i][0]
-                grown[i][4] = (rule, add(tree, rows[mask], left), add(tree, rows[~mask], right))
+                grown[i][3] = (rule, add(rows[mask], left), add(rows[~mask], right))
 
     trees = []
-    for tree, root in enumerate(roots):
-        order, stack = [], [tree]
+    for start, root in zip(starts, roots):
+        order, stack = [], [start]
         while stack:  # each node, then its left subtree, then its right
             i = stack.pop()
             order.append(i)
-            split = grown[i][4]
+            split = grown[i][3]
             if split is not None:
                 stack += (split[2], split[1])
         place = {i: k for k, i in enumerate(order)}
         local = np.zeros(table.n, dtype=int)  # the tree numbers its rows as its subset does
         local[root] = np.arange(len(root))
-        _, rows, mean, sse, splits = map(list, zip(*(grown[i] for i in order)))
+        rows, mean, sse, splits = map(list, zip(*(grown[i] for i in order)))
         rule = [split[0] if split else None for split in splits]
         right = [place[split[2]] if split else 0 for split in splits]
         trees.append(RegressionTree(

@@ -702,6 +702,20 @@ class TestGrow:
                     alone = grow(tbl.subset(rows), minsplit, minbucket)
                     assert_same_nodes(fitted, alone)
 
+    def test_repeated_and_nested_roots_equal_trees_grown_alone(self, cfr_table):
+        # each tree's walk starts at its own root's node, wherever that was
+        # first grown: the whole table twice, the first tree's left child
+        # (an inner node of the trees before it) and one fold's rows
+        full = grow(cfr_table, minsplit=2, minbucket=1)
+        assignment = np.empty(cfr_table.n, dtype=int)
+        assignment[np.random.default_rng(0).permutation(cfr_table.n)] = np.arange(cfr_table.n) % 10
+        roots = [np.arange(cfr_table.n), np.arange(cfr_table.n), full.rows[1],
+                 np.flatnonzero(assignment != 0)]
+        together = tree._grow_together(cfr_table, roots, 2, 1)
+        assert len(together) == len(roots)
+        for rows, fitted in zip(roots, together):
+            assert_same_nodes(fitted, grow(cfr_table.subset(rows), 2, 1))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_structural_invariants(self, seed):
@@ -792,7 +806,7 @@ class TestPrune:
             minbucket = int(rng.integers(1, 4))
             assert_prunes_like_reference(grow(tbl, minsplit=2 * minbucket, minbucket=minbucket))
 
-    @pytest.mark.parametrize("minsplit", [9, None])
+    @pytest.mark.parametrize("minsplit", [9, None, 2])
     def test_bit_identical_to_reference_on_cfr_folds(self, cfr_table, monkeypatch, minsplit):
         grown = record_grown_trees(monkeypatch)
         for seed in range(3):
@@ -864,7 +878,7 @@ class TestCrossValidate:
         assert controls[1:] == [controls[0]] * 10
 
     @pytest.mark.parametrize("folds", [5, 10])
-    @pytest.mark.parametrize("minsplit", [None, 9])
+    @pytest.mark.parametrize("minsplit", [None, 9, 2])
     def test_fold_trees_equal_trees_grown_alone(self, cfr_table, monkeypatch, minsplit, folds):
         grown = record_grown_trees(monkeypatch)
         for seed in range(5):
@@ -882,6 +896,23 @@ class TestCrossValidate:
                 assert fitted.table.x.tobytes() == sub.x.tobytes()
                 assert fitted.table.y.tobytes() == sub.y.tobytes()
                 assert_same_tree(fitted, grow(sub, full.minsplit, full.minbucket))
+
+    @pytest.mark.parametrize("minsplit", [None, 2])
+    def test_each_row_set_is_searched_once(self, cfr_table, monkeypatch, minsplit):
+        searched = []
+        best_splits = tree._best_splits
+
+        def recording(table, nodes, minbucket):
+            searched.extend(tuple(rows.tolist()) for rows, *_ in nodes)
+            return best_splits(table, nodes, minbucket)
+
+        monkeypatch.setattr(tree, "_best_splits", recording)
+        for seed in range(5):
+            searched.clear()
+            cross_validate(cfr_table, minsplit=minsplit, folds=10, seed=seed)
+            # the full tree and its ten fold trees share every repeated row set
+            assert searched
+            assert len(set(searched)) == len(searched)
 
     @pytest.mark.parametrize("folds", [5, 10])
     @pytest.mark.parametrize("minsplit", [None, 9])
