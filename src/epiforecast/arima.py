@@ -96,20 +96,50 @@ class ArimaFit:
         w_t = intercept + phi_1 w_{t-1} + ... + eps_t - theta_1 eps_{t-1} - ...
     on the transformed, d-differenced scale; `residuals` and `fitted` live on
     that same scale and reconstruct it exactly (fitted + residuals == w).
+    The first `n_cond` residuals are conditioned on; sigma2, the likelihood
+    and the criteria score the rest, each by one residual pass.
     """
 
     order: ArimaOrder
     phi: np.ndarray
     theta: np.ndarray
     intercept: float
-    sigma2: float
-    residuals: np.ndarray
-    aic: float
-    bic: float
-    loglik: float
+    n_cond: int
     transform: TransformSpec
     transformed: np.ndarray = field(repr=False)
-    min_root_modulus: float
+
+    @property
+    def residuals(self) -> np.ndarray:
+        cell = _objective_for(self._diffed(), self.order.p, self.order.q, self.n_cond)[3]
+        return _residuals(self.phi, self.theta, self.intercept, cell)
+
+    @property
+    def _n_eff(self) -> int:
+        return len(self.transformed) - self.order.d - self.n_cond
+
+    @property
+    def sigma2(self) -> float:
+        eps, n_cond = self.residuals, self.n_cond
+        return max(float(np.dot(eps[n_cond:], eps[n_cond:])) / self._n_eff, 1e-300)
+
+    @property
+    def loglik(self) -> float:
+        return -0.5 * self._n_eff * (math.log(2.0 * math.pi * self.sigma2) + 1.0)
+
+    # k counts the coefficients, sigma2 and the intercept that d == 0 fits
+    @property
+    def aic(self) -> float:
+        p, d, q = self.order
+        return -2.0 * self.loglik + 2.0 * (p + q + 1 + (d == 0))
+
+    @property
+    def bic(self) -> float:
+        p, d, q = self.order
+        return -2.0 * self.loglik + (p + q + 1 + (d == 0)) * math.log(self._n_eff)
+
+    @property
+    def min_root_modulus(self) -> float:
+        return min(_min_root_modulus(self.phi), _min_root_modulus(self.theta))
 
     @property
     def fitted(self) -> np.ndarray:
@@ -381,13 +411,6 @@ def fit_arima(
     (default p). Order selection passes a common value so that criteria stay
     comparable across grid cells.
     """
-    return _fit_job((s, order, transform, n_condition), _estimate)
-
-
-def _fit_job(job, estimate) -> ArimaFit:
-    """`fit_arima` on one (values, order, transform, n_condition) job, with
-    phi, theta and intercept from estimate(w, p, q, use_intercept, n_cond)."""
-    s, order, transform, n_condition = job
     values = values_of(s)
     p, d, q = order
     n_cond = p if n_condition is None else max(n_condition, p)
@@ -396,33 +419,8 @@ def _fit_job(job, estimate) -> ArimaFit:
             f"series of length {len(values)} too short for ARIMA({p},{d},{q}) estimation"
         )
     z = transform.forward(values)
-    w = diff_values(z, d)
-    use_intercept = d == 0
-    phi, theta, intercept = estimate(w, p, q, use_intercept, n_cond)
-    eps = _residuals(phi, theta, intercept, _objective_for(w, p, q, n_cond)[3])
-    m = len(w)
-    n_eff = m - n_cond
-    sse = float(np.dot(eps[n_cond:], eps[n_cond:]))
-    sigma2 = max(sse / n_eff, 1e-300)
-    loglik = -0.5 * n_eff * (math.log(2.0 * math.pi * sigma2) + 1.0)
-    k = p + q + 1 + (1 if use_intercept else 0)
-    aic = -2.0 * loglik + 2.0 * k
-    bic = -2.0 * loglik + k * math.log(n_eff)
-    min_root = min(_min_root_modulus(phi), _min_root_modulus(theta))
-    return ArimaFit(
-        order=order,
-        phi=phi,
-        theta=theta,
-        intercept=intercept,
-        sigma2=sigma2,
-        residuals=eps,
-        aic=aic,
-        bic=bic,
-        loglik=loglik,
-        transform=transform,
-        transformed=z,
-        min_root_modulus=min_root,
-    )
+    phi, theta, intercept = _estimate(diff_values(z, d), p, q, d == 0, n_cond)
+    return ArimaFit(order, phi, theta, intercept, n_cond, transform, z)
 
 
 def select_order(
@@ -475,11 +473,13 @@ def _select(grids: list, reject_near_unit_roots: bool) -> list:
         if reject_near_unit_roots:
             fits = [(r, job) for r, job in fits if not r.min_root_modulus < _SELECTION_MIN_ROOT]
         if fits:
-            r, job = min(fits, key=lambda f: (f[0].aic, f[0].order.p + f[0].order.q, f[0].bic,
-                                               f[0].order.p, f[0].order.q))
+            r, (values, _, transform, _) = min(
+                fits, key=lambda f: (f[0].aic, f[0].order.p + f[0].order.q, f[0].bic,
+                                     f[0].order.p, f[0].order.q))
             # arrays built here share one dtype object, as `fit_arima`'s do, and pickle the same
-            chosen.append(_fit_job(job, lambda *_: (np.array(r.phi, dtype=float),
-                                                    np.array(r.theta, dtype=float), r.intercept)))
+            chosen.append(ArimaFit(r.order, np.array(r.phi, dtype=float),
+                                   np.array(r.theta, dtype=float), r.intercept, r.n_cond,
+                                   transform, transform.forward(values_of(values))))
         else:
             failure = next(r for r in cells if isinstance(r, Exception))
             chosen.append(ConvergenceError(f"every (p,q) grid cell failed; first failure: {failure}"))
@@ -490,9 +490,9 @@ def _select(grids: list, reject_near_unit_roots: bool) -> list:
 _pool = None
 
 
-# what a worker sends back of a grid cell's fit: a few numbers, where the
-# whole fit holds two arrays as long as the series; `_select` rebuilds the fit
-_Verdict = namedtuple("_Verdict", "order aic bic min_root_modulus phi theta intercept")
+# what a worker sends back of a grid cell's fit: a few numbers, where the whole
+# fit holds the transformed series; `_select` builds the chosen fit from them
+_Verdict = namedtuple("_Verdict", "order aic bic min_root_modulus phi theta intercept n_cond")
 
 
 def _fit_cell(job):
@@ -504,7 +504,7 @@ def _fit_cell(job):
     except (ValueError, ConvergenceError) as exc:
         return exc
     return _Verdict(order, fit.aic, fit.bic, fit.min_root_modulus, fit.phi.tolist(),
-                    fit.theta.tolist(), fit.intercept)
+                    fit.theta.tolist(), fit.intercept, fit.n_cond)
 
 
 @atexit.register

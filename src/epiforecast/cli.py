@@ -218,7 +218,7 @@ def cmd_eval(args) -> None:
     predicted = _read_dated_column(args.forecast, value_field=args.column)
     shared = sorted(set(actual) & set(predicted))
     if not shared:
-        raise ValueError("no overlapping dates between the two files")
+        raise ValueError(f"{args.actual} and {args.forecast} share no date")
     a = np.array([actual[d] for d in shared])
     p = np.array([predicted[d] for d in shared])
     try:

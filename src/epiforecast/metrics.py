@@ -71,10 +71,10 @@ def report(actual, predicted, k: int = 0) -> dict:
     """rmse, mae, r2, adj_r2, n and k of one pair, each computed once.
 
     r2 is taken against the mean-of-actual baseline: it is negative for fits
-    worse than that constant, and None when the actual values are constant.
-    Both arrays are scaled for it exactly, by one power of two, below 1 so
-    that squared deviations cannot overflow. adj_r2 discounts r2 for k
-    predictors; it is None unless r2 is defined and 1 <= k < n - 1.
+    worse than that constant, and None when the actual values are constant,
+    whatever their rounded mean. Both arrays are scaled for it exactly, by one
+    power of two, below 1 so that squared deviations cannot overflow. adj_r2
+    discounts r2 for k predictors; it is None unless r2 is defined and 1 <= k < n - 1.
     """
     a, p = _pair(actual, predicted)
     rmse_value, mae_value = _error_scores(a, p)
@@ -83,7 +83,7 @@ def report(actual, predicted, k: int = 0) -> dict:
     a, p = np.ldexp(a, -shift), np.ldexp(p, -shift)
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     r2_value = adj = None
-    if ss_tot != 0.0:
+    if ss_tot != 0.0 and np.ptp(a) != 0.0:
         r2_value = 1.0 - float(np.sum((a - p) ** 2)) / ss_tot
         if 1 <= k < n - 1:
             adj = 1.0 - (1.0 - r2_value) * (n - 1) / (n - k - 1)

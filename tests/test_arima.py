@@ -63,6 +63,27 @@ class TestFit:
         assert fit.aic == pytest.approx(-2 * fit.loglik + 2 * k, rel=1e-12)
         assert fit.bic == pytest.approx(-2 * fit.loglik + k * math.log(n_eff), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_criteria_score_the_residuals_after_the_conditioning_window(self, d):
+        values = sim_ar1(4, n=80)
+        p, q = 2, 1
+        for n_condition, n_cond in ((None, p), (p, p), (p + 2, p + 2)):
+            fit = fit_arima(values, ArimaOrder(p, d, q), n_condition=n_condition)
+            assert fit.n_cond == n_cond
+            eps = fit.residuals
+            n_eff = len(values) - d - n_cond
+            assert len(eps) - fit.n_cond == n_eff
+            sigma2 = max(float(np.dot(eps[n_cond:], eps[n_cond:])) / n_eff, 1e-300)
+            loglik = -0.5 * n_eff * (math.log(2.0 * math.pi * sigma2) + 1.0)
+            k = p + q + 1 + (d == 0)
+            expected = (sigma2, loglik, -2.0 * loglik + 2.0 * k, -2.0 * loglik + k * math.log(n_eff))
+            got = (fit.sigma2, fit.loglik, fit.aic, fit.bic)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], n_condition
+        # every cell of a grid conditions on max_p residuals, the winner too
+        [winner] = arima._select([arima._order_grid(values, NO_TRANSFORM, 3, 1, d)], True)
+        assert winner.n_cond == 3
+        assert len(winner.residuals) - winner.n_cond == len(values) - d - 3
+
     def test_residuals_reconstruct_differenced_series(self):
         fit = fit_arima(sim_ar1(7), ArimaOrder(2, 0, 1))
         w = diff_values(fit.transformed, fit.order.d)

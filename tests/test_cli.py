@@ -536,21 +536,23 @@ class TestRisktree:
             gc.garbage.clear()
         assert cyclic == 0
 
-    def test_constant_response_flagged(self, tmp_path, data_dir):
+    # the mean of fifty 0.05s is 0.04999999999999999, not 0.05
+    @pytest.mark.parametrize("cfr", ["0.02", "0.05"])
+    def test_constant_response_flagged(self, tmp_path, data_dir, cfr):
         rows = read_csv(data_dir / "cfr_countries.csv")
         path = tmp_path / "flat.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             for row in rows:
-                row["cfr"] = "0.02"
+                row["cfr"] = cfr
                 writer.writerow(row)
         out = tmp_path / "rt"
         assert run_cli("risktree", str(path), "--minsplit", "5", "--out", str(out)) == 0
         payload = json.loads((out / "risktree.json").read_text())
         assert payload["n_leaves"] == 1
         assert payload["metrics"]["r2"] is None
-        assert "note" in payload["metrics"]
+        assert payload["metrics"]["note"] == "r2 undefined: constant response"
 
     def test_tiny_table_yields_root_only(self, tmp_path, data_dir):
         rows = read_csv(data_dir / "cfr_countries.csv")[:3]
@@ -711,7 +713,7 @@ class TestEval:
         out = tmp_path / "o"
         assert run_cli("eval", str(data_dir / "india.csv"), str(other), "--column", "cases",
                        "--out", str(out)) == 1
-        assert capsys.readouterr().err == "eval: no overlapping dates between the two files\n"
+        assert capsys.readouterr().err == f"eval: {data_dir / 'india.csv'} and {other} share no date\n"
         assert not out.exists()
 
     def test_hand_built_pair(self, tmp_path, capsys):

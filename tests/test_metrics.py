@@ -70,6 +70,13 @@ def test_report_handles_undefined_r2():
     report = metrics.report([2, 2, 2], [1, 2, 3])
     assert report["r2"] is None
     assert report["rmse"] > 0
+    # the mean of fifty 0.05s rounds to 0.04999999999999999, yet they are constant
+    constant = np.full(50, 0.05)
+    for predicted in (constant, np.full(50, 0.06)):
+        scores = metrics.report(constant, predicted, 1)
+        assert scores["r2"] is None and scores["adj_r2"] is None
+        with pytest.raises(ValueError, match="r2 undefined: actual values are constant"):
+            metrics.r2(constant, predicted)
 
 
 def hexed(value):

@@ -12,8 +12,10 @@ each module under it, and in total, the tool prints:
   lambdas;
 - `defaults`: how many of those parameters have a default value;
 - `fields`: the annotated attributes in the body of every class (a
-  dataclass's fields, say), nested classes included; each is a value a
-  caller can set, as a parameter is.
+  dataclass's fields, say), nested classes included, and the field names of
+  every `namedtuple(name, fields)` call, given as one string ("a b c" or
+  "a, b, c") or as a list or tuple of strings; each is a value a caller can
+  set, as a parameter is.
 """
 
 from __future__ import annotations
@@ -39,10 +41,28 @@ def count_params(tree: ast.AST) -> tuple[int, int]:
     return params, defaults
 
 
+def namedtuple_fields(node: ast.AST) -> int:
+    """The number of field names `node` gives, if it is a namedtuple call."""
+    if not isinstance(node, ast.Call):
+        return 0
+    func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+    names = [kw.value for kw in node.keywords if kw.arg == "field_names"] or node.args[1:2]
+    if func != "namedtuple" or not names:
+        return 0
+    names = names[0]
+    if isinstance(names, ast.Constant) and isinstance(names.value, str):
+        return len(names.value.replace(",", " ").split())
+    if isinstance(names, (ast.List, ast.Tuple)):
+        return len(names.elts)
+    return 0
+
+
 def count_fields(tree: ast.AST) -> int:
-    """Annotated class-level attributes over every class in `tree`."""
-    return sum(isinstance(stmt, ast.AnnAssign) for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) for stmt in node.body)
+    """Annotated class-level attributes over every class in `tree`, and the
+    field names of every namedtuple call."""
+    annotated = sum(isinstance(stmt, ast.AnnAssign) for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) for stmt in node.body)
+    return annotated + sum(map(namedtuple_fields, ast.walk(tree)))
 
 
 def main() -> None:
